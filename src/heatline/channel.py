@@ -28,8 +28,7 @@ import numpy as np
 from .csvio import write_csv
 from .glsolve import PotentialSamples
 from .ritz import RitzReport
-
-PI = math.pi
+from .spectra import PI
 
 #: below this radius v = psi / sqrt(rho) switches to its series slope limit
 NEAR_AXIS_RADIUS = 1e-8

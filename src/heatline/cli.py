@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -38,13 +38,24 @@ from .ritz import (
     linearized_qtilde_diagnostic,
     verify_potential,
 )
-from .spectra import TargetSpectrum, default_target_spectrum, load_target_spectrum
+from .spectra import PI, TargetSpectrum, default_target_spectrum, load_target_spectrum
 
-PI = math.pi
-
-#: published reference deltas (percent) the reproduction tables print alongside
-UNIFORM_TABLE_ROWS = ((100, 57.12), (150, 5.01), (200, 1.65), (250, 0.67), (300, 0.32))
-TWO_ZONE_TABLE_ROWS = (((50, 50), 4.68), ((50, 75), 0.94), ((50, 100), 0.23))
+#: convergence-table rows: grid flags, the published reference delta (percent)
+#: printed alongside the computed one, and the row's print label
+TABLE_ROWS = {
+    "uniform": (
+        ({"grid_m": 100}, 57.12, "M = 100"),
+        ({"grid_m": 150}, 5.01, "M = 150"),
+        ({"grid_m": 200}, 1.65, "M = 200"),
+        ({"grid_m": 250}, 0.67, "M = 250"),
+        ({"grid_m": 300}, 0.32, "M = 300"),
+    ),
+    "two_zone": (
+        ({"grid_m1": 50, "grid_m2": 50}, 4.68, "M1 = 50, M2 =  50"),
+        ({"grid_m1": 50, "grid_m2": 75}, 0.94, "M1 = 50, M2 =  75"),
+        ({"grid_m1": 50, "grid_m2": 100}, 0.23, "M1 = 50, M2 = 100"),
+    ),
+}
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -67,6 +78,8 @@ class RunConfig:
     threshold: float | None = None
 
     def validate(self) -> None:
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            _check_type(name, getattr(self, name), typing.get_args(hint) or (hint,))
         uniform = self.grid_m is not None
         two_zone = self.grid_m1 is not None or self.grid_m2 is not None
         if uniform and two_zone:
@@ -89,6 +102,28 @@ class RunConfig:
         return load_target_spectrum(self.spectrum_file)
 
 
+def _check_type(name: str, value, kinds: tuple) -> None:
+    """Reject a config value that is not of its field's declared type.
+
+    A float field takes any finite int or float; an int field takes no
+    bool; None passes only where the field allows it.
+    """
+    if value is None and type(None) in kinds:
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if float in kinds:
+        valid = number and math.isfinite(value)
+        wanted = "a finite number"
+    elif int in kinds:
+        valid = number and isinstance(value, int)
+        wanted = "an integer"
+    else:
+        valid = isinstance(value, str)
+        wanted = "a string"
+    if not valid:
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
@@ -109,17 +144,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _run_pipeline(config: RunConfig) -> tuple[PotentialSamples, RitzReport]:
-    spectrum = config.load_spectrum()
-    samples = construct_potential(spectrum, config.make_grid())
-    report = verify_potential(
+def _verify(config: RunConfig, samples: PotentialSamples, spectrum: TargetSpectrum) -> RitzReport:
+    return verify_potential(
         samples,
         spectrum,
         basis_size=config.ritz_n,
         compare_count=config.compare_j,
         jacobi_tol=config.jacobi_tol,
     )
-    return samples, report
 
 
 def cmd_construct(config: RunConfig) -> int:
@@ -135,14 +167,7 @@ def cmd_construct(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig, potential_path: str | None) -> int:
     spectrum = config.load_spectrum()
     path = Path(potential_path) if potential_path else Path(config.out_dir) / "potential.csv"
-    samples = PotentialSamples.from_csv(path)
-    report = verify_potential(
-        samples,
-        spectrum,
-        basis_size=config.ritz_n,
-        compare_count=config.compare_j,
-        jacobi_tol=config.jacobi_tol,
-    )
+    report = _verify(config, PotentialSamples.from_csv(path), spectrum)
     out_dir = Path(config.out_dir)
     report.to_csv(out_dir / "report.csv")
     report.eigenvectors_to_csv(out_dir / "eigenvectors.csv")
@@ -154,43 +179,17 @@ def cmd_verify(config: RunConfig, potential_path: str | None) -> int:
     return EXIT_OK
 
 
-def _table_row(row_config: RunConfig) -> float:
-    _, report = _run_pipeline(row_config)
-    return report.delta
-
-
 def cmd_table(config: RunConfig, which: str) -> int:
-    if which == "uniform":
-        row_configs = [
-            replace(config, grid_m=m, grid_m1=None, grid_m2=None)
-            for m, _ in UNIFORM_TABLE_ROWS
-        ]
-        reference = [p for _, p in UNIFORM_TABLE_ROWS]
-    else:
-        row_configs = [
-            replace(config, grid_m=None, grid_m1=m1, grid_m2=m2)
-            for (m1, m2), _ in TWO_ZONE_TABLE_ROWS
-        ]
-        reference = [p for _, p in TWO_ZONE_TABLE_ROWS]
-    with ThreadPoolExecutor(max_workers=len(row_configs)) as pool:
-        deltas = list(pool.map(_table_row, row_configs))
+    spectrum = config.load_spectrum()
+    table = TABLE_ROWS[which]
+    rows = []
+    for grid_flags, reference, label in table:
+        grid = replace(config, **{"grid_m": None, "grid_m1": None, "grid_m2": None, **grid_flags}).make_grid()
+        delta = _verify(config, construct_potential(spectrum, grid), spectrum).delta
+        print(f"{label}: delta = {100 * delta:.4f}%  (reference {reference}%)")
+        rows.append((*grid_flags.values(), 100.0 * delta, reference))
+    header = [flag.removeprefix("grid_") for flag in table[0][0]] + ["delta", "paper_delta"]
     out = Path(config.out_dir) / f"table_{which}.csv"
-    if which == "uniform":
-        header = ["m", "delta", "paper_delta"]
-        rows = [
-            (m, 100.0 * d, p)
-            for (m, p), d in zip(UNIFORM_TABLE_ROWS, deltas)
-        ]
-        for (m, p), d in zip(UNIFORM_TABLE_ROWS, deltas):
-            print(f"M = {m:3d}: delta = {100 * d:.4f}%  (reference {p}%)")
-    else:
-        header = ["m1", "m2", "delta", "paper_delta"]
-        rows = [
-            (m1, m2, 100.0 * d, p)
-            for ((m1, m2), p), d in zip(TWO_ZONE_TABLE_ROWS, deltas)
-        ]
-        for ((m1, m2), p), d in zip(TWO_ZONE_TABLE_ROWS, deltas):
-            print(f"M1 = {m1}, M2 = {m2:3d}: delta = {100 * d:.4f}%  (reference {p}%)")
     write_csv(out, header, rows)
     print(f"wrote {out}")
     return EXIT_OK
@@ -202,14 +201,7 @@ def cmd_channel(config: RunConfig, potential_path: str | None) -> int:
         samples = PotentialSamples.from_csv(potential_path)
     else:
         samples = construct_potential(spectrum, config.make_grid())
-    report = verify_potential(
-        samples,
-        spectrum,
-        basis_size=config.ritz_n,
-        compare_count=config.compare_j,
-        jacobi_tol=config.jacobi_tol,
-    )
-    modes = channel_mod.ModeSet.from_reports(report)
+    modes = channel_mod.ModeSet.from_reports(_verify(config, samples, spectrum))
     out_dir = Path(config.out_dir)
     channel_mod.write_lambda_csv(modes, out_dir / "lambda.csv")
     channel_mod.write_first_mode_csv(modes, out_dir / "mode1.csv")

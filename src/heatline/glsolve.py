@@ -19,6 +19,11 @@ of the component functions:
 
     Q(s) = -2 sum_j [ (a_j'(s) + psi_j'(s)) b_j(s) + (a_j(s) + psi_j(s)) b_j'(s) ].
 
+All grid points are solved at once: one stacked LU solve with partial
+pivoting (LAPACK gesv) for psi and one for psi'.  Before it, the condition
+number of I + G(s) is checked at every s, and a near-singular system is
+reported with the s where it occurs.
+
 The gram matrix G(s) is computed in closed form by default: every integrand
 is a product of sines or a linear function, and the exact primitives keep the
 solve free of quadrature error even on coarse grids.  A cumulative-trapezoid
@@ -28,24 +33,22 @@ close to singular and trapezoid errors in G are strongly amplified there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import read_float_columns, write_csv
-from .spectra import KernelTermList, TargetSpectrum, build_kernel_terms
+from .spectra import PI, KernelTermList, TargetSpectrum, build_kernel_terms
 
-PI = math.pi
-
-#: absolute pivot floor of the elimination; GL solvability keeps pivots far above it
-PIVOT_FLOOR = 1e-12
+#: largest 2-norm condition number of I + G(s) that is solved; the designed
+#: spectrum peaks at 6.8e3 (at s = pi) and an exactly singular matrix gives inf
+COND_CEILING = 1e10
 
 _ENDPOINT_TOL = 1e-12
 
 
 class SingularSystemError(Exception):
-    """A pivot of the reduced system fell below the floor (invalid spectral data)."""
+    """I + G(s) is too ill-conditioned to solve at some s (invalid spectral data)."""
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,6 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_of(self, s: float) -> int:
-        """Index of the grid point equal to s (within rounding)."""
-        i = int(np.argmin(np.abs(self.points - s)))
-        if abs(self.points[i] - s) > 1e-9:
-            raise ValueError(f"s = {s} is not a grid point")
-        return i
 
 
 def make_uniform_grid(intervals: int) -> Grid:
@@ -142,11 +138,11 @@ def _pair_primitive(freq_a: float, freq_b: float, s: np.ndarray) -> np.ndarray:
 def exact_gram(terms: KernelTermList, s) -> np.ndarray:
     """Closed-form G(s) with G_mj = int_0^s b_j a_m dt; shape (..., rank, rank)."""
     s = np.asarray(s, dtype=float)
-    r = terms.rank
-    out = np.empty(s.shape + (r, r))
-    for m, tm in enumerate(terms.terms):
-        for j, tj in enumerate(terms.terms):
-            out[..., m, j] = tm.weight * _pair_primitive(tm.frequency, tj.frequency, s)
+    w, f = terms.weights, terms.frequencies
+    out = np.empty(s.shape + (terms.rank, terms.rank))
+    for m in range(terms.rank):
+        for j in range(terms.rank):
+            out[..., m, j] = w[m] * _pair_primitive(f[m], f[j], s)
     return out
 
 
@@ -162,35 +158,6 @@ def trapezoid_gram(terms: KernelTermList, grid: Grid) -> np.ndarray:
     np.cumsum(panels, axis=2, out=panels)
     out[1:] = np.moveaxis(panels, 2, 0)
     return out
-
-
-def gram_integrals(terms: KernelTermList, grid: Grid, s: float) -> np.ndarray:
-    """Trapezoid gram matrix at the grid point s (A_mj = int_0^s b_j a_m)."""
-    return trapezoid_gram(terms, grid)[grid.index_of(s)]
-
-
-def solve_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting and an absolute pivot floor."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_FLOOR:
-            raise SingularSystemError(f"pivot {a[p, k]:.3e} below {PIVOT_FLOOR:.0e}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1:] -= factors[:, None] * b[k]
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x[:, 0] if squeeze else x
 
 
 def solve_psi_systems(terms: KernelTermList, grid: Grid, gram: str = "exact") -> PsiSolution:
@@ -211,22 +178,28 @@ def solve_psi_systems(terms: KernelTermList, grid: Grid, gram: str = "exact") ->
         G = trapezoid_gram(terms, grid)
     else:
         raise ValueError(f"unknown gram rule {gram!r}")
-    a = terms.a_values(x)
-    ap = terms.a_prime_values(x)
-    b = terms.b_values(x)
-    eye = np.eye(r)
-    psi = np.empty((npts, r))
-    psi_prime = np.empty((npts, r))
-    for i in range(npts):
-        try:
-            p = solve_pivoted(eye + G[i], -G[i] @ a[:, i])
-            sigma = float(np.dot(a[:, i] + p, b[:, i]))
-            dp = solve_pivoted(eye + G[i], -G[i] @ ap[:, i] - sigma * a[:, i])
-        except SingularSystemError as err:
-            raise SingularSystemError(f"at grid point s = {x[i]:.6f}: {err}") from None
-        psi[i] = p
-        psi_prime[i] = dp
-    return PsiSolution(grid=grid, psi=psi, psi_prime=psi_prime)
+    a = terms.a_values(x).T[..., None]             # (points, rank, 1)
+    ap = terms.a_prime_values(x).T[..., None]
+    b = terms.b_values(x).T[..., None]
+    system = np.eye(r) + G
+    _check_condition(system, x)
+    psi = np.linalg.solve(system, -G @ a)
+    sigma = np.sum((a + psi) * b, axis=1, keepdims=True)
+    psi_prime = np.linalg.solve(system, -G @ ap - sigma * a)
+    return PsiSolution(grid=grid, psi=psi[..., 0], psi_prime=psi_prime[..., 0])
+
+
+def _check_condition(system: np.ndarray, x: np.ndarray) -> None:
+    """Raise SingularSystemError naming the worst s if any cond(I + G(s)) is too large."""
+    finite = np.all(np.isfinite(system), axis=(1, 2))
+    cond = np.full(len(x), np.inf)
+    cond[finite] = np.linalg.cond(system[finite])
+    worst = int(np.argmax(cond))
+    if cond[worst] > COND_CEILING:
+        raise SingularSystemError(
+            f"at grid point s = {x[worst]:.6f}: cond(I + G) = {cond[worst]:.3e} "
+            f"above {COND_CEILING:.0e}"
+        )
 
 
 def recover_potential(terms: KernelTermList, psi: PsiSolution, grid: Grid) -> PotentialSamples:

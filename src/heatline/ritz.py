@@ -29,9 +29,7 @@ from scipy.interpolate import PPoly, make_interp_spline
 
 from .csvio import write_csv
 from .glsolve import PotentialSamples
-from .spectra import TargetSpectrum
-
-PI = math.pi
+from .spectra import PI, TargetSpectrum
 
 _SPLINE_DEGREE = {"linear": 1, "quadratic": 2, "cubic": 3}
 

@@ -54,7 +54,6 @@ class TargetSpectrum:
     """
 
     perturbed: tuple[PerturbedLevel, ...]
-    interval_length: float = PI
 
     def __post_init__(self) -> None:
         last_index = 0
@@ -114,87 +113,72 @@ def load_target_spectrum(path: str | Path) -> TargetSpectrum:
     """Read a spectrum from a JSON file.
 
     Accepted forms: a list of records, or an object with a "perturbed" list
-    and an optional "interval_length".  Each record holds "index" and "nu";
-    a missing "alpha" defaults to pi/2, or pi^3/3 when nu = 0.
+    and an optional "interval_length", which must be pi: the construction
+    is fixed to [0, pi].  Each record holds "index" and "nu"; a missing
+    "alpha" defaults to pi/2, or pi^3/3 when nu = 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         records = data.get("perturbed", [])
-        interval_length = float(data.get("interval_length", PI))
+        if float(data.get("interval_length", PI)) != PI:
+            raise ValueError(f"interval_length must be pi, got {data['interval_length']!r}")
     else:
         records = data
-        interval_length = PI
     levels = []
     for rec in records:
         nu = float(rec["nu"])
         default_alpha = ZERO_LEVEL_NORMALIZER if nu == 0.0 else FREE_NORMALIZER
         levels.append(PerturbedLevel(int(rec["index"]), nu, float(rec.get("alpha", default_alpha))))
-    return TargetSpectrum(perturbed=tuple(levels), interval_length=interval_length)
-
-
-@dataclass(frozen=True)
-class KernelTerm:
-    """One rank-one piece a(x) b(y) of the kernel.
-
-    frequency == 0 encodes the degenerate nu = 0 pair a(x) = weight * x,
-    b(y) = y; otherwise a(x) = weight * sin(frequency x), b(y) = sin(frequency y).
-    """
-
-    weight: float
-    frequency: float
-
-    def a(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.frequency == 0.0:
-            return self.weight * x
-        return self.weight * np.sin(self.frequency * x)
-
-    def a_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.frequency == 0.0:
-            return np.full_like(x, self.weight)
-        return self.weight * self.frequency * np.cos(self.frequency * x)
-
-    def b(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.frequency == 0.0:
-            return y.copy()
-        return np.sin(self.frequency * y)
-
-    def b_prime(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.frequency == 0.0:
-            return np.ones_like(y)
-        return self.frequency * np.cos(self.frequency * y)
+    return TargetSpectrum(perturbed=tuple(levels))
 
 
 @dataclass(frozen=True)
 class KernelTermList:
-    """Finite-rank factorization L(x, y) = sum_j a_j(x) b_j(y)."""
+    """Finite-rank factorization L(x, y) = sum_j a_j(x) b_j(y).
 
-    terms: tuple[KernelTerm, ...]
+    Term j is a_j(x) = weights[j] * sin(frequencies[j] x), b_j(y) =
+    sin(frequencies[j] y); frequency 0 encodes the degenerate nu = 0 pair
+    a_j(x) = weights[j] * x, b_j(y) = y.  Every evaluation returns the terms
+    stacked along a leading axis, shape (rank,) + shape(x).
+    """
+
+    weights: np.ndarray
+    frequencies: np.ndarray
+
+    def __post_init__(self) -> None:
+        weights = np.asarray(self.weights, dtype=float)
+        frequencies = np.asarray(self.frequencies, dtype=float)
+        if weights.ndim != 1 or weights.shape != frequencies.shape:
+            raise ValueError("weights and frequencies must be 1-D arrays of equal length")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "frequencies", frequencies)
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return len(self.weights)
+
+    def _columns(self, x):
+        """x as an array, weights and frequencies shaped to broadcast against it."""
+        x = np.asarray(x, dtype=float)
+        shape = (-1,) + (1,) * x.ndim
+        return x, self.weights.reshape(shape), self.frequencies.reshape(shape)
 
     def a_values(self, x) -> np.ndarray:
-        """Stacked a_j(x), shape (rank,) + shape(x)."""
-        return np.stack([t.a(x) for t in self.terms]) if self.terms else _empty_stack(x)
+        x, w, f = self._columns(x)
+        return w * np.where(f == 0.0, x, np.sin(f * x))
 
     def a_prime_values(self, x) -> np.ndarray:
-        return np.stack([t.a_prime(x) for t in self.terms]) if self.terms else _empty_stack(x)
+        x, w, f = self._columns(x)
+        return np.where(f == 0.0, w, w * f * np.cos(f * x))
 
     def b_values(self, y) -> np.ndarray:
-        return np.stack([t.b(y) for t in self.terms]) if self.terms else _empty_stack(y)
+        y, _, f = self._columns(y)
+        return np.where(f == 0.0, y, np.sin(f * y))
 
     def b_prime_values(self, y) -> np.ndarray:
-        return np.stack([t.b_prime(y) for t in self.terms]) if self.terms else _empty_stack(y)
-
-
-def _empty_stack(x) -> np.ndarray:
-    return np.zeros((0,) + np.asarray(x, dtype=float).shape)
+        y, _, f = self._columns(y)
+        return np.where(f == 0.0, 1.0, f * np.cos(f * y))
 
 
 def build_kernel_terms(spectrum: TargetSpectrum) -> KernelTermList:
@@ -205,26 +189,20 @@ def build_kernel_terms(spectrum: TargetSpectrum) -> KernelTermList:
     with b(y) = sin(sqrt(nu_j) y) (or y); and one subtracted free term
     a(x) = -(2/pi) sin(j x), b(y) = sin(j y).  Rank = 2 * len(perturbed).
     """
-    added = []
-    removed = []
-    for level in spectrum.perturbed:
+    levels = spectrum.perturbed
+    for level in levels:
         if level.nu < 0.0:
             raise ValueError(f"eigenvalue nu_{level.index} = {level.nu} is negative")
-        if level.nu == 0.0:
-            added.append(KernelTerm(weight=1.0 / level.alpha, frequency=0.0))
-        else:
-            added.append(KernelTerm(weight=1.0 / level.alpha, frequency=math.sqrt(level.nu)))
-        removed.append(KernelTerm(weight=-1.0 / FREE_NORMALIZER, frequency=float(level.index)))
-    return KernelTermList(terms=tuple(added + removed))
+    return KernelTermList(
+        weights=[1.0 / lv.alpha for lv in levels] + [-1.0 / FREE_NORMALIZER] * len(levels),
+        frequencies=[math.sqrt(lv.nu) for lv in levels] + [float(lv.index) for lv in levels],
+    )
 
 
 def eval_L(terms: KernelTermList, x, y):
     """Evaluate L(x, y) = sum_j a_j(x) b_j(y); broadcasts over array arguments."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    for term in terms.terms:
-        out = out + term.a(x) * term.b(y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.sum(terms.a_values(x) * terms.b_values(y), axis=0)
     if out.ndim == 0:
         return float(out)
     return out

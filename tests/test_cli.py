@@ -34,6 +34,29 @@ class TestRunConfig:
         assert len(RunConfig().make_grid()) == 301
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestInputContract:
+    def test_nan_threshold_is_rejected(self, tmp_path, capsys):
+        rc = main(["verify", "--out-dir", str(tmp_path), "--threshold", "nan"])
+        assert rc == EXIT_INPUT
+        assert "threshold" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("key, value", [("grid_m", "300"), ("ritz_n", 40.5), ("grid_m", True)])
+    def test_wrong_type_in_config_is_rejected(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value, "out_dir": str(tmp_path)}))
+        assert main(["construct", "--config", str(config)]) == EXIT_INPUT
+        assert key in assert_one_error_line(capsys)
+        assert not (tmp_path / "potential.csv").exists()
+
+
 class TestConstruct:
     def test_row_count(self, tmp_path):
         assert main(["construct", "--grid-m", "300", "--out-dir", str(tmp_path)]) == EXIT_OK

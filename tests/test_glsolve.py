@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from heatline.glsolve import (
     Grid,
@@ -11,19 +12,48 @@ from heatline.glsolve import (
     SingularSystemError,
     construct_potential,
     exact_gram,
-    gram_integrals,
     make_two_zone_grid,
     make_uniform_grid,
     recover_potential,
-    solve_pivoted,
     solve_psi_systems,
     trapezoid_gram,
 )
-from heatline.spectra import TargetSpectrum, build_kernel_terms
+from heatline.spectra import (
+    FREE_NORMALIZER,
+    ZERO_LEVEL_NORMALIZER,
+    KernelTermList,
+    PerturbedLevel,
+    TargetSpectrum,
+    build_kernel_terms,
+)
 
 from oracles import fd_eigenvalues, nystrom_psi
 
 PI = math.pi
+
+
+@st.composite
+def admissible_spectra(draw):
+    """1-4 perturbed levels among the first 6, merged values strictly increasing.
+
+    Each nu_j stays within 0.45 of the gaps around j^2, so neighbours never
+    cross.  nu_1 is either 0, the degenerate level, or at least 0.25: a
+    tiny positive nu_1 with an O(1) alpha shrinks its kernel term to ~nu_1,
+    and I + G(pi) is then singular to working precision.  Each alpha_j is
+    its free normalizer times a factor within e^(+-1).
+    """
+    indices = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    levels = []
+    for j in sorted(indices):
+        highest = j * j + 0.45 * (2 * j + 1)
+        if j == 1:
+            nu = draw(st.just(0.0) | st.floats(0.25, highest))
+        else:
+            nu = draw(st.floats(j * j - 0.45 * (2 * j - 1), highest))
+        normalizer = ZERO_LEVEL_NORMALIZER if nu == 0.0 else FREE_NORMALIZER
+        alpha = normalizer * math.exp(draw(st.floats(-1.0, 1.0)))
+        levels.append(PerturbedLevel(j, nu, alpha))
+    return TargetSpectrum(perturbed=tuple(levels))
 
 
 class TestGrids:
@@ -73,19 +103,20 @@ class TestGrids:
 class TestGramIntegrals:
     def test_zero_at_origin(self, terms):
         grid = make_uniform_grid(10)
-        assert np.all(gram_integrals(terms, grid, 0.0) == 0.0)
+        assert np.all(trapezoid_gram(terms, grid)[0] == 0.0)
+        assert np.all(exact_gram(terms, 0.0) == 0.0)
 
     def test_linear_pair_entry_is_one(self, terms):
         # closed form: int_0^pi (3 t / pi^3) * t dt = 1
         grid = make_uniform_grid(200)
-        val = gram_integrals(terms, grid, PI)[0, 0]
+        val = trapezoid_gram(terms, grid)[-1][0, 0]
         assert val == pytest.approx(1.0, abs=2e-5)
 
     def test_trapezoid_entry_converges_quadratically(self, terms):
         errs = []
         for m in (50, 100, 200):
             grid = make_uniform_grid(m)
-            errs.append(abs(gram_integrals(terms, grid, PI)[0, 0] - 1.0))
+            errs.append(abs(trapezoid_gram(terms, grid)[-1][0, 0] - 1.0))
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
 
@@ -101,33 +132,82 @@ class TestGramIntegrals:
             errs.append(np.max(np.abs(trap - exact)))
         assert errs[0] / errs[1] >= 3.0
 
-    def test_rejects_off_grid_point(self, terms):
-        grid = make_uniform_grid(10)
-        with pytest.raises(ValueError, match="not a grid point"):
-            gram_integrals(terms, grid, 0.1234)
+
+def solves_to(matrix, solution, rhs, rhs_scale, tol):
+    """||A x - b|| <= tol (||A|| ||x|| + rhs_scale) for every system of a stack.
+
+    rhs_scale bounds the terms b is summed from, so a b that cancels to
+    rounding noise is judged against the size of those terms.
+    """
+    residual = np.linalg.norm(np.einsum("ijk,ik->ij", matrix, solution) - rhs, axis=1)
+    scale = np.linalg.norm(matrix, ord=2, axis=(1, 2)) * np.linalg.norm(solution, axis=1)
+    return bool(np.all(residual <= tol * (scale + rhs_scale)))
 
 
 class TestPivotedSolve:
+    """The stacked LU solve with partial pivoting inside solve_psi_systems."""
+
     def test_singular_raises(self):
-        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularSystemError):
-            solve_pivoted(singular, np.array([1.0, 1.0]))
+        # a(s) = -(2/pi) sin s, b(s) = sin s: G(pi) = -1, so I + G(pi) = 0
+        terms = KernelTermList(weights=[-2.0 / PI], frequencies=[1.0])
+        with pytest.raises(SingularSystemError, match=r"s = 3\.141593"):
+            solve_psi_systems(terms, make_uniform_grid(10))
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25)
-    def test_matches_reference_solver(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-        b = rng.normal(size=6)
-        x = solve_pivoted(a, b)
-        assert np.allclose(a @ x, b, atol=1e-9)
+    def test_non_finite_system_raises(self):
+        # alpha = 1e-320 passes the alpha > 0 check but its weight 1/alpha overflows
+        spectrum = TargetSpectrum(perturbed=(PerturbedLevel(2, 5.0, 1e-320),))
+        with pytest.raises(SingularSystemError, match=r"s = 0\.000000"):
+            solve_psi_systems(build_kernel_terms(spectrum), make_uniform_grid(10))
 
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-        b = rng.normal(size=(5, 2))
-        x = solve_pivoted(a, b)
-        assert np.allclose(a @ x, b, atol=1e-10)
+    @given(spectrum=admissible_spectra())
+    @settings(max_examples=25, deadline=None)
+    def test_solves_both_systems(self, spectrum):
+        terms = build_kernel_terms(spectrum)
+        grid = make_uniform_grid(60)
+        x = grid.points
+        sol = solve_psi_systems(terms, grid)
+        G = exact_gram(terms, x)
+        matrix = np.eye(terms.rank) + G
+        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        g_norm = np.linalg.norm(G, ord=2, axis=(1, 2))
+        rhs = -np.einsum("ijk,ik->ij", G, a)
+        a_norm = np.linalg.norm(a, axis=1)
+        assert solves_to(matrix, sol.psi, rhs, g_norm * a_norm, 1e-10)
+        sigma = np.sum((a + sol.psi) * b, axis=1)
+        rhs_prime = -np.einsum("ijk,ik->ij", G, ap) - sigma[:, None] * a
+        prime_scale = g_norm * np.linalg.norm(ap, axis=1) + np.abs(sigma) * a_norm
+        assert solves_to(matrix, sol.psi_prime, rhs_prime, prime_scale, 1e-10)
+
+    @given(spectrum=admissible_spectra())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_solver(self, spectrum):
+        # one partial-pivoting LU factorisation per grid point, as a reference
+        terms = build_kernel_terms(spectrum)
+        grid = make_uniform_grid(40)
+        x = grid.points
+        sol = solve_psi_systems(terms, grid)
+        G = exact_gram(terms, x)
+        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        for k in range(len(x)):
+            lu = lu_factor(np.eye(terms.rank) + G[k])
+            psi = lu_solve(lu, -G[k] @ a[k])
+            sigma = np.dot(a[k] + psi, b[k])
+            psi_prime = lu_solve(lu, -G[k] @ ap[k] - sigma * a[k])
+            assert np.allclose(sol.psi[k], psi, rtol=1e-9, atol=1e-9)
+            assert np.allclose(sol.psi_prime[k], psi_prime, rtol=1e-9, atol=1e-9)
+
+    def test_matrix_rhs(self, terms, grid300):
+        # both right-hand sides as the columns of one matrix right-hand side
+        x = grid300.points
+        sol = solve_psi_systems(terms, grid300)
+        G = exact_gram(terms, x)
+        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        sigma = np.sum((a + sol.psi) * b, axis=1)
+        rhs = np.stack([-np.einsum("ijk,ik->ij", G, a),
+                        -np.einsum("ijk,ik->ij", G, ap) - sigma[:, None] * a], axis=2)
+        both = np.linalg.solve(np.eye(terms.rank) + G, rhs)
+        assert np.allclose(sol.psi, both[..., 0], rtol=1e-10, atol=1e-10)
+        assert np.allclose(sol.psi_prime, both[..., 1], rtol=1e-10, atol=1e-10)
 
 
 class TestPsiSystems:

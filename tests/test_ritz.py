@@ -177,7 +177,6 @@ class TestRelativeError:
     def test_rejects_zero_tail_target(self):
         bad = object.__new__(TargetSpectrum)
         object.__setattr__(bad, "perturbed", ())
-        object.__setattr__(bad, "interval_length", PI)
         object.__setattr__(bad, "eigenvalues", lambda count: np.zeros(count))
         with pytest.raises(ValueError, match="nonzero"):
             relative_error(np.arange(4.0), bad, 4)
