@@ -14,14 +14,15 @@ lambda_2 = 11, so the heat semigroup collapses onto the first mode at
 rate exp(-11 t) and that mode stays concentrated near the axis.
 
 Modes are synthesized from the verifier's sine-basis coefficient vectors:
-w(s) = sum_n c_n sqrt(2/pi) sin(n s) and v(rho) = psi(rho) / sqrt(rho).
+w(s) = sum_n c_n sqrt(2/pi) sin(n s) and v(rho) = psi(rho) / sqrt(rho),
+where psi is the same sine series as w.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,29 +40,21 @@ QUADRATURE_POINTS = 2001
 
 @dataclass(frozen=True)
 class ChannelPotential:
-    """Evaluates q(s, rho) = Q_axial(s) + 1/(4 rho^2) + Q_radial(rho)."""
+    """Evaluates q(s, rho) = Q(s) + 1/(4 rho^2) + Q(rho) from one sampled Q."""
 
-    axial: PotentialSamples
-    radial: PotentialSamples
+    samples: PotentialSamples
 
     def evaluate(self, s, rho):
         s = np.asarray(s, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
             raise ValueError("the channel potential requires rho > 0")
-        q_s = np.interp(s, self.axial.grid.points, self.axial.values)
-        q_r = np.interp(rho, self.radial.grid.points, self.radial.values)
-        out = q_s + 0.25 / rho**2 + q_r
+        points, values = self.samples.grid.points, self.samples.values
+        out = np.interp(s, points, values) + 0.25 / rho**2 + np.interp(rho, points, values)
         return float(out) if out.ndim == 0 else out
 
 
-def assemble_channel(samples: PotentialSamples) -> ChannelPotential:
-    """Channel potential sharing one constructed Q axially and radially."""
-    return ChannelPotential(axial=samples, radial=samples)
-
-
-@dataclass(frozen=True)
-class CombinedLevel:
+class CombinedLevel(NamedTuple):
     """One 3-D eigenvalue lambda = mu_m + nu_l with its 1-based index pair."""
 
     value: float
@@ -69,21 +62,23 @@ class CombinedLevel:
     axial_index: int
 
 
-def combine_spectra(
-    axial: Sequence[float], radial: Sequence[float], count: int
-) -> tuple[CombinedLevel, ...]:
-    """The `count` smallest pairwise sums, ascending, ties by (m, l)."""
+def _level_arrays(levels: Sequence[CombinedLevel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lambda values and the 1-based radial and axial indices of `levels`."""
+    table = np.array(levels, dtype=float).reshape(-1, 3)
+    return table[:, 0], table[:, 1].astype(int), table[:, 2].astype(int)
+
+
+def combine_spectra(axial: Sequence[float], radial: Sequence[float]) -> tuple[CombinedLevel, ...]:
+    """Every pairwise sum mu_m + nu_l, ascending, ties by (m, l)."""
     axial = np.asarray(axial, dtype=float)
     radial = np.asarray(radial, dtype=float)
     if np.any(np.diff(axial) < 0.0) or np.any(np.diff(radial) < 0.0):
         raise ValueError("input spectra must be ascending")
-    levels = [
-        CombinedLevel(value=float(mu + nu), radial_index=m, axial_index=l)
-        for m, mu in enumerate(radial, start=1)
-        for l, nu in enumerate(axial, start=1)
-    ]
-    levels.sort(key=lambda lv: (lv.value, lv.radial_index, lv.axial_index))
-    return tuple(levels[:count])
+    sums = np.add.outer(radial, axial).ravel()
+    m, l = np.divmod(np.arange(sums.size), len(axial))
+    order = np.lexsort((l, m, sums))
+    columns = (sums[order].tolist(), (m[order] + 1).tolist(), (l[order] + 1).tolist())
+    return tuple(map(CombinedLevel, *columns))
 
 
 def _sine_matrix(coords: np.ndarray, n_max: int) -> np.ndarray:
@@ -94,75 +89,62 @@ def _sine_matrix(coords: np.ndarray, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Axial and radial 1-D modes plus the combined 3-D spectrum.
+    """The 1-D Dirichlet modes, shared by the axial and radial problems, and
+    the combined 3-D spectrum.
 
-    Coefficient matrices hold one sine-basis eigenvector per column.  The
-    radial problem is the same Dirichlet operator, so by default the radial
-    data is the axial data reused.
+    `coefficients` holds one sine-basis eigenvector per column; mode k has
+    eigenvalue `eigenvalues[k - 1]`.
     """
 
-    axial_eigenvalues: np.ndarray
-    axial_coefficients: np.ndarray
-    radial_eigenvalues: np.ndarray
-    radial_coefficients: np.ndarray
+    eigenvalues: np.ndarray
+    coefficients: np.ndarray
     combined: tuple[CombinedLevel, ...]
 
     @classmethod
-    def from_reports(
-        cls,
-        axial: RitzReport,
-        radial: RitzReport | None = None,
-        mode_count: int | None = None,
-        combined_count: int | None = None,
-    ) -> "ModeSet":
-        radial = axial if radial is None else radial
-        k = mode_count or axial.compare_count
-        nu = axial.eigenvalues[:k]
-        mu = radial.eigenvalues[:k]
-        combined = combine_spectra(nu, mu, combined_count or k * k)
-        return cls(
-            axial_eigenvalues=nu,
-            axial_coefficients=axial.eigenvectors[:, :k],
-            radial_eigenvalues=mu,
-            radial_coefficients=radial.eigenvectors[:, :k],
-            combined=combined,
-        )
+    def from_reports(cls, report: RitzReport, mode_count: int | None = None) -> "ModeSet":
+        """The first `mode_count` verified modes (default: the compared ones)."""
+        k = report.compare_count if mode_count is None else mode_count
+        if not 1 <= k <= len(report.eigenvalues):
+            raise ValueError(f"mode_count must lie in [1, {len(report.eigenvalues)}], got {k}")
+        nu = report.eigenvalues[:k]
+        coefficients = report.eigenvectors[:, :k]
+        return cls(eigenvalues=nu, coefficients=coefficients, combined=combine_spectra(nu, nu))
 
-    def axial_mode(self, l: int, s) -> np.ndarray:
-        """w_l(s) from its sine series (1-based l)."""
-        s = np.asarray(s, dtype=float)
-        coeffs = self.axial_coefficients[:, l - 1]
-        return coeffs @ _sine_matrix(np.atleast_1d(s), len(coeffs))
+    def _series(self, index, x: np.ndarray) -> np.ndarray:
+        """psi_k(x) = w_k(x) for each 1-based k in `index`, shape shape(index) + shape(x)."""
+        index = np.asarray(index)
+        if np.any(index < 1) or np.any(index > self.coefficients.shape[1]):
+            raise ValueError(f"mode indices must lie in [1, {self.coefficients.shape[1]}]")
+        coeffs = self.coefficients[:, index - 1]
+        return (coeffs.T @ _sine_matrix(x.ravel(), len(coeffs))).reshape(index.shape + x.shape)
 
-    def radial_mode(self, m: int, rho) -> np.ndarray:
-        """v_m(rho) = psi_m(rho) / sqrt(rho), finite through rho -> 0."""
+    def axial_mode(self, l, s) -> np.ndarray:
+        """w_l(s) from its sine series.
+
+        `l` is a 1-based index or an array of them; the result has shape
+        shape(l) + shape(s), with a scalar s taken as one point.
+        """
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if not np.all((s >= 0.0) & (s <= PI)):
+            raise ValueError("axial coordinate must lie in [0, pi]")
+        return self._series(l, s)
+
+    def radial_mode(self, m, rho) -> np.ndarray:
+        """v_m(rho) = psi_m(rho) / sqrt(rho), finite through rho -> 0; shapes as axial_mode."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(rho <= 0.0):
-            raise ValueError("radial modes require rho > 0")
-        coeffs = self.radial_coefficients[:, m - 1]
-        n = np.arange(1, len(coeffs) + 1)
-        out = np.empty_like(rho)
-        near = rho < NEAR_AXIS_RADIUS
-        if np.any(near):
-            slope = math.sqrt(2.0 / PI) * float(coeffs @ n)
-            out[near] = np.sqrt(rho[near]) * slope
-        far = ~near
-        psi = coeffs @ _sine_matrix(rho[far], len(coeffs))
-        out[far] = psi / np.sqrt(rho[far])
-        return out
+        if not np.all((rho > 0.0) & (rho <= PI)):
+            raise ValueError("radius must lie in (0, pi]")
+        m = np.asarray(m)
+        psi = self._series(m, rho)
+        n = np.arange(1, self.coefficients.shape[0] + 1)
+        slope = math.sqrt(2.0 / PI) * (n @ self.coefficients[:, m - 1])
+        slope = np.reshape(slope, m.shape + (1,) * rho.ndim)
+        return np.where(rho < NEAR_AXIS_RADIUS, np.sqrt(rho) * slope, psi / np.sqrt(rho))
 
 
 def first_mode(modes: ModeSet, s, rho):
     """phi_1(s, rho) = v_1(rho) w_1(s); Dirichlet-zero on every boundary."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0) or np.any(s > PI):
-        raise ValueError("axial coordinate must lie in [0, pi]")
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr > PI):
-        raise ValueError("radius must lie in (0, pi]")
-    w = modes.axial_mode(1, s)
-    v = modes.radial_mode(1, rho)
-    out = v * w
+    out = modes.radial_mode(1, rho) * modes.axial_mode(1, s)
     if np.ndim(s) == 0 and np.ndim(rho) == 0:
         return float(out[0])
     return out
@@ -176,11 +158,9 @@ def concentration_metric(modes: ModeSet, split: float = PI / 2.0) -> float:
     """
     if not 0.0 < split < PI:
         raise ValueError("split radius must lie inside (0, pi)")
-    coeffs = modes.radial_coefficients[:, 0]
     core = np.linspace(0.0, split, QUADRATURE_POINTS)
     outer = np.linspace(split, PI, QUADRATURE_POINTS)
-    psi_core = coeffs @ _sine_matrix(core, len(coeffs))
-    psi_outer = coeffs @ _sine_matrix(outer, len(coeffs))
+    psi_core, psi_outer = modes._series(1, np.stack([core, outer]))
     inside = np.trapezoid(psi_core**2, core)
     total = inside + np.trapezoid(psi_outer**2, outer)
     return float(inside / total)
@@ -206,16 +186,14 @@ class HeatSeries:
         s_arr, rho_arr = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(rho, dtype=float)
         )
-        shape = s_arr.shape
-        s_flat, rho_flat = s_arr.ravel(), rho_arr.ravel()
-        out = np.zeros(s_flat.shape)
-        for level, coef in zip(self.levels, self.coefficients):
-            w = self.modes.axial_mode(level.axial_index, s_flat)
-            v = self.modes.radial_mode(level.radial_index, rho_flat)
-            out += math.exp(-level.value * t) * coef * v * w
+        lam, m, l = _level_arrays(self.levels)
+        # one mode family at a time, so one sine table is alive at once
+        w = self.modes.axial_mode(l, s_arr.ravel())
+        v = self.modes.radial_mode(m, rho_arr.ravel())
+        out = (np.exp(-lam * t) * self.coefficients) @ (v * w)
         if np.ndim(s) == 0 and np.ndim(rho) == 0:
             return float(out[0])
-        return out.reshape(shape)
+        return out.reshape(s_arr.shape)
 
     def tail_norm(self) -> float:
         """sqrt(sum_{n>=2} coefficient^2), the first-mode remainder at t = 0."""
@@ -223,7 +201,7 @@ class HeatSeries:
 
     def residual_after_first(self, t: float) -> float:
         """Norm of u(t) - (f, phi_1) phi_1 over the truncated expansion."""
-        lam = np.array([lv.value for lv in self.levels[1:]])
+        lam = _level_arrays(self.levels)[0][1:]
         return float(np.sqrt(np.sum(np.exp(-2.0 * lam * t) * self.coefficients[1:] ** 2)))
 
 
@@ -241,30 +219,15 @@ def heat_series(
     coords = np.linspace(0.0, PI, QUADRATURE_POINTS)
     g = np.asarray(axial_profile(coords), dtype=float)
     r = np.asarray(radial_profile(coords), dtype=float)
-    sine_ax = _sine_matrix(coords, modes.axial_coefficients.shape[0])
-    sine_rad = _sine_matrix(coords, modes.radial_coefficients.shape[0])
     weights = np.full_like(coords, coords[1] - coords[0])
     weights[0] = weights[-1] = 0.5 * (coords[1] - coords[0])
+    psi = modes._series(np.arange(1, modes.coefficients.shape[1] + 1), coords)
     # (g, w_l) in plain measure ds; (r, v_m) in rho d rho, i.e. r psi sqrt(rho)
-    axial_products = np.array(
-        [
-            np.dot(weights, g * (modes.axial_coefficients[:, l] @ sine_ax))
-            for l in range(modes.axial_coefficients.shape[1])
-        ]
-    )
-    radial_products = np.array(
-        [
-            np.dot(weights, r * (modes.radial_coefficients[:, m] @ sine_rad) * np.sqrt(coords))
-            for m in range(modes.radial_coefficients.shape[1])
-        ]
-    )
+    axial_products = psi @ (weights * g)
+    radial_products = psi @ (weights * r * np.sqrt(coords))
     levels = modes.combined[:truncation]
-    coefficients = np.array(
-        [
-            radial_products[lv.radial_index - 1] * axial_products[lv.axial_index - 1]
-            for lv in levels
-        ]
-    )
+    _, m, l = _level_arrays(levels)
+    coefficients = radial_products[m - 1] * axial_products[l - 1]
     return HeatSeries(modes=modes, levels=levels, coefficients=coefficients)
 
 
@@ -276,22 +239,20 @@ def write_lambda_csv(modes: ModeSet, path) -> None:
     write_csv(path, ["n", "m", "l", "lambda_n"], rows)
 
 
-def write_first_mode_csv(modes: ModeSet, path, resolution: int = 41) -> None:
+def _csv_points(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened (s, rho) sample points in rho-major order, rho in (0, pi]."""
     s = np.linspace(0.0, PI, resolution)
     rho = np.linspace(PI / resolution, PI, resolution)
-    rows = []
-    for rv in rho:
-        values = first_mode(modes, s, rv)
-        rows.extend((sv, rv, val) for sv, val in zip(s, values))
-    write_csv(path, ["s", "rho", "phi_1"], rows)
+    s_grid, rho_grid = np.meshgrid(s, rho)
+    return s_grid.ravel(), rho_grid.ravel()
 
 
-def write_heat_csv(series: HeatSeries, path, times: Sequence[float], resolution: int = 21) -> None:
-    s = np.linspace(0.0, PI, resolution)
-    rho = np.linspace(PI / resolution, PI, resolution)
-    rows = []
-    for t in times:
-        for rv in rho:
-            values = series.evaluate(s, np.full_like(s, rv), t)
-            rows.extend((sv, rv, t, val) for sv, val in zip(s, values))
-    write_csv(path, ["s", "rho", "t", "u"], rows)
+def write_first_mode_csv(modes: ModeSet, path) -> None:
+    s, rho = _csv_points(41)
+    write_csv(path, ["s", "rho", "phi_1"], np.column_stack([s, rho, first_mode(modes, s, rho)]))
+
+
+def write_heat_csv(series: HeatSeries, path, times: Sequence[float]) -> None:
+    s, rho = _csv_points(21)
+    blocks = [np.column_stack([s, rho, np.full_like(s, t), series.evaluate(s, rho, t)]) for t in times]
+    write_csv(path, ["s", "rho", "t", "u"], np.concatenate(blocks))

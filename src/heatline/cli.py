@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -38,7 +37,13 @@ from .ritz import (
     linearized_qtilde_diagnostic,
     verify_potential,
 )
-from .spectra import PI, TargetSpectrum, default_target_spectrum, load_target_spectrum
+from .spectra import (
+    PI,
+    TargetSpectrum,
+    check_type,
+    default_target_spectrum,
+    load_target_spectrum,
+)
 
 #: convergence-table rows: grid flags, the published reference delta (percent)
 #: printed alongside the computed one, and the row's print label
@@ -79,7 +84,7 @@ class RunConfig:
 
     def validate(self) -> None:
         for name, hint in typing.get_type_hints(RunConfig).items():
-            _check_type(name, getattr(self, name), typing.get_args(hint) or (hint,))
+            check_type(name, getattr(self, name), typing.get_args(hint) or (hint,))
         uniform = self.grid_m is not None
         two_zone = self.grid_m1 is not None or self.grid_m2 is not None
         if uniform and two_zone:
@@ -100,28 +105,6 @@ class RunConfig:
         if self.spectrum_file is None:
             return default_target_spectrum()
         return load_target_spectrum(self.spectrum_file)
-
-
-def _check_type(name: str, value, kinds: tuple) -> None:
-    """Reject a config value that is not of its field's declared type.
-
-    A float field takes any finite int or float; an int field takes no
-    bool; None passes only where the field allows it.
-    """
-    if value is None and type(None) in kinds:
-        return
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if float in kinds:
-        valid = number and math.isfinite(value)
-        wanted = "a finite number"
-    elif int in kinds:
-        valid = number and isinstance(value, int)
-        wanted = "an integer"
-    else:
-        valid = isinstance(value, str)
-        wanted = "a string"
-    if not valid:
-        raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -321,6 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         KeyError,
         OSError,
         json.JSONDecodeError,
+        MemoryError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -109,27 +109,59 @@ def default_target_spectrum() -> TargetSpectrum:
     )
 
 
+def check_type(name: str, value, kinds: tuple) -> None:
+    """Reject a config or spectrum-file value that is not of its declared type.
+
+    A float field takes any finite int or float; an int field takes no
+    bool; None passes only where the field allows it.
+    """
+    if value is None and type(None) in kinds:
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if float in kinds:
+        valid = number and math.isfinite(value)
+        wanted = "a finite number"
+    elif int in kinds:
+        valid = number and isinstance(value, int)
+        wanted = "an integer"
+    else:
+        valid = isinstance(value, str)
+        wanted = "a string"
+    if not valid:
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
 def load_target_spectrum(path: str | Path) -> TargetSpectrum:
     """Read a spectrum from a JSON file.
 
     Accepted forms: a list of records, or an object with a "perturbed" list
     and an optional "interval_length", which must be pi: the construction
-    is fixed to [0, pi].  Each record holds "index" and "nu"; a missing
-    "alpha" defaults to pi/2, or pi^3/3 when nu = 0.
+    is fixed to [0, pi].  Each record is an object holding an integer
+    "index" and a finite "nu"; a missing "alpha" defaults to pi/2, or
+    pi^3/3 when nu = 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         records = data.get("perturbed", [])
-        if float(data.get("interval_length", PI)) != PI:
-            raise ValueError(f"interval_length must be pi, got {data['interval_length']!r}")
+        interval_length = data.get("interval_length", PI)
+        check_type("interval_length", interval_length, (float,))
+        if interval_length != PI:
+            raise ValueError(f"interval_length must be pi, got {interval_length!r}")
     else:
         records = data
+    if not isinstance(records, list):
+        raise ValueError(f"perturbed levels must be a list, got {records!r}")
     levels = []
-    for rec in records:
-        nu = float(rec["nu"])
-        default_alpha = ZERO_LEVEL_NORMALIZER if nu == 0.0 else FREE_NORMALIZER
-        levels.append(PerturbedLevel(int(rec["index"]), nu, float(rec.get("alpha", default_alpha))))
+    for number, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise ValueError(f"spectrum record {number} must be an object, got {rec!r}")
+        nu = rec["nu"]
+        check_type(f"nu of spectrum record {number}", nu, (float,))
+        alpha = rec.get("alpha", ZERO_LEVEL_NORMALIZER if nu == 0.0 else FREE_NORMALIZER)
+        check_type(f"alpha of spectrum record {number}", alpha, (float,))
+        check_type(f"index of spectrum record {number}", rec["index"], (int,))
+        levels.append(PerturbedLevel(rec["index"], float(nu), float(alpha)))
     return TargetSpectrum(perturbed=tuple(levels))
 
 

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatline.channel import (
+    NEAR_AXIS_RADIUS,
+    ChannelPotential,
     ModeSet,
-    assemble_channel,
     combine_spectra,
     concentration_metric,
     first_mode,
     heat_series,
 )
 from heatline.glsolve import PotentialSamples, make_uniform_grid
+from heatline.ritz import verify_potential
 
 PI = math.pi
 
@@ -23,28 +25,36 @@ def zero_potential(intervals: int = 20) -> PotentialSamples:
     return PotentialSamples(grid=grid, values=np.zeros(len(grid)))
 
 
-def synthetic_modes(radial_coeffs: np.ndarray) -> ModeSet:
-    """ModeSet with hand-built sine coefficients for the radial family."""
-    n = len(radial_coeffs)
-    coeffs = np.zeros((n, 1))
-    coeffs[:, 0] = radial_coeffs
+def synthetic_modes(coeffs: np.ndarray) -> ModeSet:
+    """ModeSet with one hand-built sine coefficient vector as its only mode."""
     return ModeSet(
-        axial_eigenvalues=np.array([0.0]),
-        axial_coefficients=coeffs.copy(),
-        radial_eigenvalues=np.array([0.0]),
-        radial_coefficients=coeffs,
-        combined=combine_spectra([0.0], [0.0], 1),
+        eigenvalues=np.array([0.0]),
+        coefficients=np.reshape(coeffs, (-1, 1)),
+        combined=combine_spectra([0.0], [0.0]),
     )
+
+
+def reference_field(series, s, rho, t):
+    """u(s, rho, t) as a per-level sum, each mode's sine series written out."""
+    coeffs = series.modes.coefficients
+    n = np.arange(1, coeffs.shape[0] + 1)
+    scale = math.sqrt(2.0 / PI)
+    u = np.zeros(np.broadcast(s, rho).shape)
+    for level, a in zip(series.levels, series.coefficients):
+        w = scale * np.tensordot(coeffs[:, level.axial_index - 1], np.sin(np.multiply.outer(n, s)), 1)
+        psi = scale * np.tensordot(coeffs[:, level.radial_index - 1], np.sin(np.multiply.outer(n, rho)), 1)
+        u += math.exp(-level.value * t) * a * w * psi / np.sqrt(rho)
+    return u
 
 
 class TestChannelPotential:
     def test_zero_potential_is_pure_centrifugal(self):
-        channel = assemble_channel(zero_potential())
+        channel = ChannelPotential(zero_potential())
         for rho in (0.3, 1.0, 2.5):
             assert channel.evaluate(1.0, rho) == pytest.approx(0.25 / rho**2)
 
     def test_separability(self, pot300):
-        channel = assemble_channel(pot300)
+        channel = ChannelPotential(pot300)
         q = lambda s, rho: channel.evaluate(s, rho)
         for rho in (0.4, 1.7):
             lhs = q(1.0, rho) - q(2.0, rho)
@@ -55,12 +65,12 @@ class TestChannelPotential:
 
     def test_assembly_arithmetic(self, pot300):
         # grid contains pi/2 (index 150), so interpolation is exact there
-        channel = assemble_channel(pot300)
+        channel = ChannelPotential(pot300)
         q_half = pot300.values[150]
         assert channel.evaluate(PI / 2, PI / 2) == pytest.approx(2.0 * q_half + 1.0 / PI**2)
 
     def test_rejects_nonpositive_radius(self, pot300):
-        channel = assemble_channel(pot300)
+        channel = ChannelPotential(pot300)
         with pytest.raises(ValueError):
             channel.evaluate(1.0, 0.0)
         with pytest.raises(ValueError):
@@ -69,54 +79,76 @@ class TestChannelPotential:
 
 class TestCombineSpectra:
     def test_default_sums(self):
-        levels = combine_spectra([0.0, 11.0, 14.0], [0.0, 11.0, 14.0], 9)
+        levels = combine_spectra([0.0, 11.0, 14.0], [0.0, 11.0, 14.0])
         values = [lv.value for lv in levels]
         assert values == [0.0, 11.0, 11.0, 14.0, 14.0, 22.0, 25.0, 25.0, 28.0]
 
     def test_lambda_two_is_eleven(self):
-        levels = combine_spectra([0.0, 11.0, 14.0], [0.0, 11.0, 14.0], 2)
+        levels = combine_spectra([0.0, 11.0, 14.0], [0.0, 11.0, 14.0])
         assert levels[0].value == 0.0
         assert levels[1].value == 11.0
 
     def test_short_inputs(self):
-        levels = combine_spectra([0.0, 11.0], [0.0], 2)
+        levels = combine_spectra([0.0, 11.0], [0.0])
         assert [lv.value for lv in levels] == [0.0, 11.0]
 
     def test_tie_breaking_is_stable(self):
-        levels = combine_spectra([0.0, 1.0], [0.0, 1.0], 4)
+        levels = combine_spectra([0.0, 1.0], [0.0, 1.0])
         assert [(lv.radial_index, lv.axial_index) for lv in levels] == [
             (1, 1), (1, 2), (2, 1), (2, 2),
         ]
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError, match="ascending"):
-            combine_spectra([1.0, 0.0], [0.0], 2)
+            combine_spectra([1.0, 0.0], [0.0])
 
     @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        count=st.integers(min_value=1, max_value=12),
+        axial=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+        radial=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_brute_force(self, seed, count):
-        rng = np.random.default_rng(seed)
-        axial = np.sort(rng.uniform(0.0, 30.0, size=4))
-        radial = np.sort(rng.uniform(0.0, 30.0, size=3))
-        levels = combine_spectra(axial, radial, count)
-        brute = sorted(mu + nu for mu in radial for nu in axial)
-        assert np.allclose([lv.value for lv in levels], brute[:count])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, axial, radial):
+        # small integer levels force repeated values and tied sums
+        axial, radial = sorted(axial), sorted(radial)
+        levels = combine_spectra(axial, radial)
+        brute = sorted(
+            (float(mu + nu), m, l)
+            for m, mu in enumerate(radial, start=1)
+            for l, nu in enumerate(axial, start=1)
+        )
+        assert [(lv.value, lv.radial_index, lv.axial_index) for lv in levels] == brute
 
 
 class TestModeSet:
-    def test_radial_defaults_to_axial(self, report300):
+    def test_radial_defaults_to_axial(self, modes300):
+        # one 1-D family: v_m(rho) sqrt(rho) is the axial mode w_m(rho)
+        rho = np.linspace(0.1, PI, 7)
+        index = np.arange(1, 6)
+        lhs = modes300.radial_mode(index, rho) * np.sqrt(rho)
+        assert np.allclose(lhs, modes300.axial_mode(index, rho), rtol=0.0, atol=1e-13)
+
+    def test_mode_count_defaults_to_compared_levels(self, report300):
         modes = ModeSet.from_reports(report300)
-        assert np.array_equal(modes.radial_eigenvalues, modes.axial_eigenvalues)
+        k = report300.compare_count
+        assert np.array_equal(modes.eigenvalues, report300.eigenvalues[:k])
+        assert modes.coefficients.shape == (len(report300.eigenvalues), k)
+        assert len(modes.combined) == k * k
 
-    def test_identical_reports_give_identical_spectra(self, pot300, spectrum, report300):
-        from heatline.ritz import verify_potential
+    @pytest.mark.parametrize("mode_count", [0, -3, 60])
+    def test_rejects_bad_mode_count(self, pot300, spectrum, mode_count):
+        report = verify_potential(pot300, spectrum, basis_size=40, compare_count=10)
+        with pytest.raises(ValueError, match="mode_count"):
+            ModeSet.from_reports(report, mode_count=mode_count)
 
-        radial = verify_potential(pot300, spectrum)
-        modes = ModeSet.from_reports(report300, radial=radial)
-        assert np.max(np.abs(modes.radial_eigenvalues - modes.axial_eigenvalues)) <= 1e-12
+    def test_array_index_matches_single_modes(self, modes300):
+        s = np.array([[0.0, 0.7], [2.0, PI]])
+        rho = np.array([[1e-9, 0.7], [2.0, PI]])
+        index = np.array([3, 1, 2])
+        axial, radial = modes300.axial_mode(index, s), modes300.radial_mode(index, rho)
+        assert axial.shape == radial.shape == (3, 2, 2)
+        for row, k in enumerate(index):
+            assert np.allclose(axial[row], modes300.axial_mode(int(k), s), rtol=0.0, atol=1e-13)
+            assert np.allclose(radial[row], modes300.radial_mode(int(k), rho), rtol=0.0, atol=1e-13)
 
     def test_combined_head(self, modes300):
         lam = modes300.combined
@@ -136,7 +168,7 @@ class TestFirstMode:
 
     def test_small_radius_square_root_behavior(self, modes300):
         # psi_1 ~ c rho near 0, so v_1 = psi_1 / sqrt(rho) ~ c sqrt(rho)
-        coeffs = modes300.radial_coefficients[:, 0]
+        coeffs = modes300.coefficients[:, 0]
         n = np.arange(1, len(coeffs) + 1)
         slope = math.sqrt(2.0 / PI) * float(coeffs @ n)
         rho = 1e-6
@@ -146,7 +178,7 @@ class TestFirstMode:
     def test_near_axis_branch_is_consistent(self, modes300):
         # the slope limit and the direct series evaluation agree at the switch radius
         rho = 1.0e-8
-        coeffs = modes300.radial_coefficients[:, 0]
+        coeffs = modes300.coefficients[:, 0]
         n = np.arange(1, len(coeffs) + 1)
         series = math.sqrt(2.0 / PI) * float(coeffs @ np.sin(n * rho)) / math.sqrt(rho)
         limit = math.sqrt(rho) * math.sqrt(2.0 / PI) * float(coeffs @ n)
@@ -246,3 +278,25 @@ class TestHeatSeries:
         series = heat_series(modes300, np.sin, np.cos, truncation=2)
         with pytest.raises(ValueError):
             series.evaluate(1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("s, rho", [(-0.1, 1.0), (1.0, 3.5), (1.0, 0.0)])
+    def test_rejects_points_outside_the_channel(self, modes300, s, rho):
+        series = heat_series(modes300, np.sin, np.cos, truncation=2)
+        with pytest.raises(ValueError):
+            series.evaluate(s, rho, 0.5)
+
+    @given(
+        s=st.lists(st.floats(min_value=0.0, max_value=PI), min_size=1, max_size=8),
+        rho=st.lists(st.floats(min_value=1e-12, max_value=PI), min_size=1, max_size=8),
+        near_axis=st.floats(min_value=1e-12, max_value=NEAR_AXIS_RADIUS, exclude_max=True),
+        t=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_matches_per_level_sum(self, modes300, s, rho, near_axis, t):
+        series = heat_series(modes300, np.sin, lambda r: np.exp(-2.0 * r), truncation=25)
+        s_grid, rho_grid = np.meshgrid(np.linspace(0.0, PI, 21), np.linspace(0.1, PI, 21))
+        scale = np.max(np.abs(reference_field(series, s_grid, rho_grid, t)))
+        s_pts = np.resize(s, len(rho) + 1)
+        rho_pts = np.append(rho, near_axis)
+        u = series.evaluate(s_pts, rho_pts, t)
+        assert np.max(np.abs(u - reference_field(series, s_pts, rho_pts, t))) <= 1e-12 * scale

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from heatline.channel import ModeSet, heat_series
 from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, RunConfig, main
-from heatline.glsolve import PotentialSamples, make_uniform_grid
+from heatline.glsolve import PotentialSamples, construct_potential, make_uniform_grid
 from heatline.ritz import verify_potential
 from heatline.spectra import default_target_spectrum
 
@@ -55,6 +56,33 @@ class TestInputContract:
         assert main(["construct", "--config", str(config)]) == EXIT_INPUT
         assert key in assert_one_error_line(capsys)
         assert not (tmp_path / "potential.csv").exists()
+
+    @pytest.mark.parametrize("spectrum, word", [
+        ({"perturbed": 5}, "list"),
+        ({"perturbed": [], "interval_length": None}, "interval_length"),
+        ([5], "object"),
+        ([{"index": 2, "nu": None}], "nu"),
+        ([{"index": 2, "nu": "5"}], "nu"),
+        ([{"index": 2, "nu": True}], "nu"),
+        ([{"index": 2, "nu": math.nan}], "nu"),
+        ([{"index": 2, "nu": math.inf}], "nu"),
+        ([{"index": 2, "nu": 5.0, "alpha": None}], "alpha"),
+        ([{"index": 2, "nu": 5.0, "alpha": math.nan}], "alpha"),
+        ([{"index": 2.5, "nu": 5.0}], "index"),
+        ([{"index": True, "nu": 5.0}], "index"),
+    ])
+    def test_wrong_type_in_spectrum_file_is_rejected(self, tmp_path, capsys, spectrum, word):
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(spectrum))
+        rc = main(["construct", "--grid-m", "40", "--spectrum-file", str(path), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert word in assert_one_error_line(capsys)
+        assert not (tmp_path / "potential.csv").exists()
+
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        rc = main(["construct", "--grid-m", "1000000000000", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert "allocate" in assert_one_error_line(capsys)
 
 
 class TestConstruct:
@@ -164,6 +192,20 @@ class TestChannelCommand:
         assert header == ["s", "rho", "phi_1"]
         header, _ = read_rows(tmp_path / "heat.csv")
         assert header == ["s", "rho", "t", "u"]
+
+    def test_heat_rows_match_the_series(self, tmp_path, capsys):
+        rc = main(["channel", "--grid-m", "60", "--ritz-n", "24", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        spectrum = default_target_spectrum()
+        report = verify_potential(construct_potential(spectrum, make_uniform_grid(60)), spectrum, basis_size=24)
+        series = heat_series(ModeSet.from_reports(report), np.sin, lambda rho: np.exp(-2.0 * rho), truncation=25)
+        _, rows = read_rows(tmp_path / "heat.csv")
+        s, rho, t, u = np.array(rows, dtype=float).T
+        assert len(u) == 4 * 21 * 21
+        keys = list(zip(t, rho, s))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        expected = [series.evaluate(*point) for point in zip(s, rho, t)]
+        assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(u))
 
     def test_unperturbed_channel_spectrum(self, tmp_path, capsys):
         spec = tmp_path / "free.json"
