@@ -15,7 +15,9 @@ comparison studies.  Plain trapezoid moments lose all accuracy at high k on
 coarse panels (k h per panel exceeds the cosine period), which is what the
 piecewise-line diagnostic at the bottom of this module quantifies.
 
-P is diagonalized with a self-contained cyclic Jacobi rotation sweep; no
+P is diagonalized with a self-contained Jacobi rotation sweep in the
+round-robin ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
+1985): each step rotates n/2 disjoint index pairs as one array update.  No
 library eigensolver sits on this path.
 """
 
@@ -123,17 +125,39 @@ def assemble_ritz_matrix(
     return RitzMatrix(size=size, matrix=matrix)
 
 
+def _round_robin_pairings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brent-Luk round-robin ordering of the n(n-1)/2 index pairs.
+
+    n is padded to an even m; returns p, q of shape (m - 1, n // 2) with
+    p < q, where row r is the r-th pairing: disjoint pairs, every pair in
+    exactly one row.  The circle method keeps index m - 1 fixed and pairs
+    r with m - 1 and r + k with r - k (mod m - 1); for odd n the pair with
+    the padding index m - 1 = n, which is column 0, is dropped.
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(1, m // 2)
+    left = np.hstack([r, (r + k) % (m - 1)])
+    right = np.hstack([np.full_like(r, m - 1), (r - k) % (m - 1)])
+    p, q = np.minimum(left, right), np.maximum(left, right)
+    return p[:, m - n:], q[:, m - n:]
+
+
 def jacobi_eigen(
     matrix: np.ndarray | RitzMatrix,
     tol: float = DEFAULT_JACOBI_TOL,
     max_sweeps: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic-by-rows Jacobi diagonalization of a symmetric matrix.
+    """Round-robin (Brent-Luk) Jacobi diagonalization of a symmetric matrix.
 
+    A sweep runs through the n - 1 (n even) or n (n odd) pairings of
+    `_round_robin_pairings`; the rotations of one pairing act on disjoint
+    index pairs, so they commute and are applied as one array update.
     Sweeps run until the off-diagonal Frobenius norm drops below tol.
-    Rotations are skipped for entries already below tol / n^2.  Returns
-    eigenvalues ascending (stable ties by original index) and the
-    accumulated rotations as eigenvector columns.
+    Rotations are skipped (made the identity) for entries already below
+    tol / n^2.  Returns eigenvalues ascending (stable ties by original
+    index) and the accumulated rotations as eigenvector columns, each
+    signed so that its largest-magnitude entry is positive.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -142,39 +166,47 @@ def jacobi_eigen(
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix must be symmetric")
-    vectors = np.eye(n)
+    # rows 0..n-1 of x are [a | vectors^T]: a rotation of rows p, q of a is
+    # the same rotation of columns p, q of the vectors, so one row update
+    # serves both; the column update touches the a half only
+    x = np.hstack([a, np.eye(n)])
+    a = x[:, :n]
     skip = tol / (n * n)
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if math.sqrt(np.sum(off * off)) < tol:
+    pairings = [(p, q, np.concatenate([p, q]), np.concatenate([q, p]))
+                for p, q in zip(*_round_robin_pairings(n))]
+    for sweep in range(max_sweeps + 1):
+        off_diagonal = a - np.diag(np.diag(a))
+        off = math.sqrt(np.sum(off_diagonal * off_diagonal))
+        if off < tol:
             order = np.argsort(np.diag(a), kind="stable")
-            return np.diag(a)[order].copy(), vectors[:, order].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps")
+            vectors = x[order, n:].T
+            lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+            return np.diag(a)[order].copy(), vectors * np.where(lead < 0.0, -1.0, 1.0)
+        if sweep == max_sweeps:
+            break
+        for p, q, pq, qp in pairings:
+            apq = a[p, q]
+            rotate = np.abs(apq) >= skip
+            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(rotate, apq, 1.0))
+            # sign(theta) / (|theta| + hypot(theta, 1)), with t = 1 at theta = 0
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # new row p = c row_p - s row_q, new row q = c row_q + s row_p
+            c2, s2 = np.concatenate([c, c]), np.concatenate([-s, s])
+            x[pq] = c2[:, None] * x[pq] + s2[:, None] * x[qp]
+            a[:, pq] = a[:, pq] * c2 + a[:, qp] * s2
+            a[p, q] = a[q, p] = np.where(rotate, 0.0, apq)
+    raise JacobiConvergenceError(
+        f"no convergence after {max_sweeps} sweeps: off-diagonal norm {off:.3e} "
+        f"is not below tol {tol:.3e}"
+    )
 
 
 @dataclass(frozen=True)

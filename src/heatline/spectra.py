@@ -156,6 +156,9 @@ def load_target_spectrum(path: str | Path) -> TargetSpectrum:
     for number, rec in enumerate(records, start=1):
         if not isinstance(rec, dict):
             raise ValueError(f"spectrum record {number} must be an object, got {rec!r}")
+        for key in ("index", "nu"):
+            if key not in rec:
+                raise ValueError(f"spectrum record {number} is missing {key!r}")
         nu = rec["nu"]
         check_type(f"nu of spectrum record {number}", nu, (float,))
         alpha = rec.get("alpha", ZERO_LEVEL_NORMALIZER if nu == 0.0 else FREE_NORMALIZER)

@@ -70,6 +70,8 @@ class TestInputContract:
         ([{"index": 2, "nu": 5.0, "alpha": math.nan}], "alpha"),
         ([{"index": 2.5, "nu": 5.0}], "index"),
         ([{"index": True, "nu": 5.0}], "index"),
+        ([{"index": 2}], "spectrum record 1 is missing 'nu'"),
+        ([{"index": 2, "nu": 5.0}, {"nu": 5}], "spectrum record 2 is missing 'index'"),
     ])
     def test_wrong_type_in_spectrum_file_is_rejected(self, tmp_path, capsys, spectrum, word):
         path = tmp_path / "spectrum.json"
@@ -251,3 +253,18 @@ class TestTableCommand:
         assert [float(r[3]) for r in rows] == [4.68, 0.94, 0.23]
         deltas = [float(r[2]) for r in rows]
         assert deltas[0] > deltas[1] > deltas[2]
+
+    def test_uniform_deltas_match_recorded_values(self, tmp_path):
+        # deltas (percent) as computed with the cyclic-by-rows Jacobi
+        # ordering; a change of rotation order may move them by rounding only
+        recorded = [
+            0.04631837359435461,
+            0.0085986384534386673,
+            0.0029523147149339885,
+            0.0015013701014992315,
+            0.00099595948552482524,
+        ]
+        assert main(["table", "uniform", "--out-dir", str(tmp_path)]) == EXIT_OK
+        _, rows = read_rows(tmp_path / "table_uniform.csv")
+        assert [int(r[0]) for r in rows] == [100, 150, 200, 250, 300]
+        assert np.allclose([float(r[1]) for r in rows], recorded, rtol=1e-8, atol=0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from oracles import bisection_eigenvalues, fd_eigenvalues
 PI = math.pi
 
 ALL_RULES = ("trapezoid", "linear", "quadratic", "cubic")
+
+# odd sizes leave one index unpaired in each round-robin step
+JACOBI_SIZES = st.sampled_from([1, 2, 3, 7, 10, 11])
 
 
 def constant_samples(value: float, intervals: int = 40) -> PotentialSamples:
@@ -111,24 +115,43 @@ class TestJacobi:
         assert np.allclose(eigenvalues, [1.0, 3.0], atol=1e-12)
         assert np.allclose(np.abs(vectors), np.full((2, 2), 1.0 / math.sqrt(2.0)), atol=1e-12)
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=JACOBI_SIZES)
     @settings(max_examples=15, deadline=None)
-    def test_matches_bisection_oracle(self, seed):
+    def test_matches_bisection_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(10, 10))
+        a = rng.normal(size=(n, n))
         a = a + a.T
         eigenvalues, _ = jacobi_eigen(a)
         assert np.max(np.abs(eigenvalues - bisection_eigenvalues(a))) <= 1e-8
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=JACOBI_SIZES)
     @settings(max_examples=15, deadline=None)
-    def test_diagonalization_identity(self, seed):
+    def test_diagonalization_identity(self, seed, n):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(8, 8))
+        a = rng.normal(size=(n, n))
         a = a + a.T
         eigenvalues, vectors = jacobi_eigen(a)
         assert np.allclose(vectors @ np.diag(eigenvalues) @ vectors.T, a, atol=1e-9)
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(8))) <= 1e-8
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-8
+        assert np.all(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)] > 0.0)
+
+    def test_eigenvector_sign_is_fixed(self):
+        # the accumulated rotations leave the largest entries of columns 2
+        # and 3 negative (-0.858 and -0.802); the sign rule flips both
+        a = np.array([[1.0, -2.0, -1.0], [-2.0, 2.0, -1.0], [-1.0, -1.0, 1.0]])
+        eigenvalues, vectors = jacobi_eigen(a)
+        assert np.allclose(vectors @ np.diag(eigenvalues) @ vectors.T, a, atol=1e-12)
+        assert np.allclose(vectors[:, 1], [-0.4518, -0.2453, 0.8577], atol=1e-4)
+        assert np.allclose(vectors[:, 2], [-0.5912, 0.8024, -0.0820], atol=1e-4)
+        assert np.all(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(3)] > 0.0)
+
+    def test_paper_ritz_matrix_matches_eigvalsh(self, pot300, report300):
+        # N = 100 Ritz matrix of the paper potential at M = 300; the library
+        # solver is a reference here only.  Relative to max(|nu|, 1), since
+        # nu_1 is near 0.
+        reference = np.linalg.eigvalsh(assemble_ritz_matrix(pot300, 100).matrix)
+        error = np.abs(report300.eigenvalues - reference) / np.maximum(np.abs(reference), 1.0)
+        assert np.max(error) <= 1e-11
 
     def test_ascending_order(self):
         a = np.diag([9.0, 1.0, 4.0])
@@ -139,8 +162,17 @@ class TestJacobi:
 
     def test_sweep_cap_raises(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(JacobiConvergenceError):
+        message = r"after 0 sweeps: off-diagonal norm 1\.414e\+00 is not below tol 1\.000e-10"
+        with pytest.raises(JacobiConvergenceError, match=message):
             jacobi_eigen(a, max_sweeps=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.array([[1.0, bad], [bad, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                jacobi_eigen(a)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
