@@ -202,10 +202,9 @@ def _check_condition(system: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def recover_potential(terms: KernelTermList, psi: PsiSolution, grid: Grid) -> PotentialSamples:
-    """Q(x_i) = 2 [K_s(x_i, x_i) + K_t(x_i, x_i)] from psi, psi' and derivatives."""
-    if psi.grid.points.shape != grid.points.shape or not np.array_equal(psi.grid.points, grid.points):
-        raise ValueError("psi was computed on a different grid")
+def recover_potential(terms: KernelTermList, psi: PsiSolution) -> PotentialSamples:
+    """Q(x_i) = 2 [K_s(x_i, x_i) + K_t(x_i, x_i)] from psi, psi' and derivatives on psi's grid."""
+    grid = psi.grid
     x = grid.points
     if terms.rank == 0:
         return PotentialSamples(grid=grid, values=np.zeros_like(x))
@@ -224,4 +223,4 @@ def construct_potential(
     """Full construction pipeline: kernel terms, psi systems, potential recovery."""
     terms = build_kernel_terms(spectrum)
     psi = solve_psi_systems(terms, grid, gram=gram)
-    return recover_potential(terms, psi, grid)
+    return recover_potential(terms, psi)

@@ -82,6 +82,12 @@ def _ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
     return out
 
 
+def _trapezoid_cos_moments(x: np.ndarray, q: np.ndarray, kmax: int) -> np.ndarray:
+    """Panel-rule moments (1/pi) sum_i w_i q_i cos(k x_i), k = 0 .. kmax, over the points x."""
+    k = np.arange(kmax + 1)
+    return (np.cos(np.outer(k, x)) @ (trapezoid_weights(x) * q)) / PI
+
+
 def cosine_moments(samples: PotentialSamples, kmax: int, rule: str = DEFAULT_MOMENT_RULE) -> np.ndarray:
     """Moments qt(0 .. kmax) of the sampled potential.
 
@@ -94,9 +100,7 @@ def cosine_moments(samples: PotentialSamples, kmax: int, rule: str = DEFAULT_MOM
     x = samples.grid.points
     q = samples.values
     if rule == "trapezoid":
-        w = trapezoid_weights(x) * q
-        k = np.arange(kmax + 1)
-        return (np.cos(np.outer(k, x)) @ w) / PI
+        return _trapezoid_cos_moments(x, q, kmax)
     try:
         degree = _SPLINE_DEGREE[rule]
     except KeyError:
@@ -105,24 +109,21 @@ def cosine_moments(samples: PotentialSamples, kmax: int, rule: str = DEFAULT_MOM
     return _ppoly_cos_moments(PPoly.from_spline(spline), kmax)
 
 
-@dataclass(frozen=True)
-class RitzMatrix:
-    """Symmetric Galerkin matrix P_nm = n^2 delta_nm + qt(|n-m|) - qt(n+m)."""
-
-    size: int
-    matrix: np.ndarray
+def _ritz_from_moments(qt: np.ndarray, size: int) -> np.ndarray:
+    """Symmetric Galerkin matrix P_nm = n^2 delta_nm + qt(|n-m|) - qt(n+m) from qt(0 .. 2 size)."""
+    n = np.arange(1, size + 1)
+    matrix = np.diag(n.astype(float) ** 2)
+    matrix += qt[np.abs(n[:, None] - n[None, :])] - qt[n[:, None] + n[None, :]]
+    return matrix
 
 
 def assemble_ritz_matrix(
     samples: PotentialSamples, size: int, rule: str = DEFAULT_MOMENT_RULE
-) -> RitzMatrix:
+) -> np.ndarray:
+    """Ritz matrix P of the sampled potential in the first `size` sine modes."""
     if size < 1:
         raise ValueError("basis size must be >= 1")
-    qt = cosine_moments(samples, 2 * size, rule=rule)
-    n = np.arange(1, size + 1)
-    matrix = np.diag(n.astype(float) ** 2)
-    matrix += qt[np.abs(n[:, None] - n[None, :])] - qt[n[:, None] + n[None, :]]
-    return RitzMatrix(size=size, matrix=matrix)
+    return _ritz_from_moments(cosine_moments(samples, 2 * size, rule=rule), size)
 
 
 def _round_robin_pairings(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +145,7 @@ def _round_robin_pairings(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobi_eigen(
-    matrix: np.ndarray | RitzMatrix,
+    matrix: np.ndarray,
     tol: float = DEFAULT_JACOBI_TOL,
     max_sweeps: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +162,13 @@ def jacobi_eigen(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a = matrix.matrix if isinstance(matrix, RitzMatrix) else matrix
-    a = np.array(a, dtype=float)
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.max(np.abs(a)))
     if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix must be symmetric")
     # rows 0..n-1 of x are [a | vectors^T]: a rotation of rows p, q of a is
@@ -209,23 +209,14 @@ def jacobi_eigen(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumErrors:
-    """Relative-error metric against the target spectrum.
-
-    delta is the maximum of |nu_j_computed - nu_j| / nu_j over j = 2 .. J.
-    The first eigenvalue is excluded (its target may be 0) and reported as
-    an absolute error instead.
-    """
-
-    delta: float
-    first_abs_error: float
-    per_eigenvalue: np.ndarray
-
-
 def relative_error(
     eigenvalues: np.ndarray, target: TargetSpectrum, compare_count: int
-) -> SpectrumErrors:
+) -> np.ndarray:
+    """Errors of nu_1 .. nu_J (J = compare_count) against the target spectrum.
+
+    Entry j - 1 is |nu_j_computed - nu_j| / nu_j for j >= 2.  The first
+    eigenvalue's target may be 0, so entry 0 is its absolute error instead.
+    """
     if compare_count < 2:
         raise ValueError("compare_count must be >= 2")
     if compare_count > len(eigenvalues):
@@ -236,24 +227,30 @@ def relative_error(
     errors = np.empty(compare_count)
     errors[0] = abs(eigenvalues[0] - targets[0])
     errors[1:] = np.abs(eigenvalues[1:compare_count] - targets[1:]) / targets[1:]
-    return SpectrumErrors(
-        delta=float(np.max(errors[1:])),
-        first_abs_error=float(errors[0]),
-        per_eigenvalue=errors,
-    )
+    return errors
 
 
 @dataclass(frozen=True)
 class RitzReport:
-    """Verified spectrum of a sampled potential with error metrics."""
+    """Verified spectrum of a sampled potential with the errors of `relative_error`."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     target: TargetSpectrum
-    delta: float
-    first_abs_error: float
-    per_eigenvalue_errors: np.ndarray
-    compare_count: int
+    errors: np.ndarray
+
+    @property
+    def compare_count(self) -> int:
+        return len(self.errors)
+
+    @property
+    def delta(self) -> float:
+        """max |nu_j_computed - nu_j| / nu_j over j = 2 .. compare_count."""
+        return float(np.max(self.errors[1:]))
+
+    @property
+    def first_abs_error(self) -> float:
+        return float(self.errors[0])
 
     def to_csv(self, path) -> None:
         """Rows j, nu_target, nu_computed, rel_error; trailing summary row with delta.
@@ -263,7 +260,7 @@ class RitzReport:
         rows = []
         targets = self.target.eigenvalues(self.compare_count)
         for j in range(self.compare_count):
-            rows.append((j + 1, targets[j], self.eigenvalues[j], self.per_eigenvalue_errors[j]))
+            rows.append((j + 1, targets[j], self.eigenvalues[j], self.errors[j]))
         rows.append(("delta", "", "", self.delta))
         write_csv(path, ["j", "nu_target", "nu_computed", "rel_error"], rows)
 
@@ -287,17 +284,13 @@ def verify_potential(
     """Assemble P, diagonalize, and score the result against the target."""
     if basis_size < compare_count:
         raise ValueError("basis_size must be >= compare_count")
-    ritz = assemble_ritz_matrix(samples, basis_size, rule=rule)
-    eigenvalues, eigenvectors = jacobi_eigen(ritz, tol=jacobi_tol)
-    errors = relative_error(eigenvalues, target, compare_count)
+    matrix = assemble_ritz_matrix(samples, basis_size, rule=rule)
+    eigenvalues, eigenvectors = jacobi_eigen(matrix, tol=jacobi_tol)
     return RitzReport(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         target=target,
-        delta=errors.delta,
-        first_abs_error=errors.first_abs_error,
-        per_eigenvalue_errors=errors.per_eigenvalue,
-        compare_count=compare_count,
+        errors=relative_error(eigenvalues, target, compare_count),
     )
 
 
@@ -312,26 +305,16 @@ class LinearizedMomentsDiagnostic:
     x_min: float
 
 
-def _line_cos_integral(x_lo: float, x_hi: float, y_lo: float, y_hi: float, k: int) -> float:
-    """Exact int of the chord through (x_lo, y_lo), (x_hi, y_hi) times cos(kx)."""
-    if x_hi <= x_lo:
-        return 0.0
-    slope = (y_hi - y_lo) / (x_hi - x_lo)
-    if k == 0:
-        return 0.5 * (y_lo + y_hi) * (x_hi - x_lo)
-    val = (y_hi * math.sin(k * x_hi) - y_lo * math.sin(k * x_lo)) / k
-    val += slope * (math.cos(k * x_hi) - math.cos(k * x_lo)) / k**2
-    return val
-
-
 def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> LinearizedMomentsDiagnostic:
     """Compare the trapezoid Ritz matrix with one whose tail moments use chords.
 
     Splits [0, pi] at the sample argmax and argmin of Q.  Moments keep the
     trapezoid rule up to x_max, then integrate straight lines from
-    (x_max, Q_max) to (x_min, Q_min) and on to (pi, Q(pi)) in closed form.
-    The entrywise relative difference E against the all-trapezoid matrix
-    shows whether the tail of Q may be treated as straight lines.
+    (x_max, Q_max) to (x_min, Q_min) and on to the last sample (pi, Q(pi))
+    in closed form, as a linear piecewise polynomial.  Both matrices come
+    from the moments by the map that `assemble_ritz_matrix` uses.  The
+    entrywise relative difference E against the all-trapezoid matrix shows
+    whether the tail of Q may be treated as straight lines.
     """
     x = samples.grid.points
     q = samples.values
@@ -341,18 +324,17 @@ def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> Linear
         raise DegenerateShapeError(
             "potential needs an interior maximum followed by a minimum"
         )
-    qt_line = np.empty(2 * size + 1)
-    head_w = trapezoid_weights(x[: i_max + 1]) * q[: i_max + 1]
-    for k in range(2 * size + 1):
-        head = float(np.cos(k * x[: i_max + 1]) @ head_w)
-        mid = _line_cos_integral(x[i_max], x[i_min], q[i_max], q[i_min], k)
-        tail = _line_cos_integral(x[i_min], PI, q[i_min], q[-1], k)
-        qt_line[k] = (head + mid + tail) / PI
-    n = np.arange(1, size + 1)
-    diag = np.diag(n.astype(float) ** 2)
-    qt_trap = cosine_moments(samples, 2 * size, rule="trapezoid")
-    p_trap = diag + qt_trap[np.abs(n[:, None] - n[None, :])] - qt_trap[n[:, None] + n[None, :]]
-    p_line = diag + qt_line[np.abs(n[:, None] - n[None, :])] - qt_line[n[:, None] + n[None, :]]
+    kmax = 2 * size
+    # a minimum at the last sample leaves the tail chord zero width: slope 0
+    # there keeps it finite, and a zero-width panel integrates to 0
+    knots, ends = x[[i_max, i_min, -1]], q[[i_max, i_min, -1]]
+    widths = np.diff(knots)
+    slopes = np.divide(np.diff(ends), widths, out=np.zeros(2), where=widths > 0.0)
+    chords = PPoly(np.vstack([slopes, ends[:-1]]), knots)
+    qt_line = _trapezoid_cos_moments(x[: i_max + 1], q[: i_max + 1], kmax)
+    qt_line += _ppoly_cos_moments(chords, kmax)
+    p_trap = _ritz_from_moments(cosine_moments(samples, kmax, rule="trapezoid"), size)
+    p_line = _ritz_from_moments(qt_line, size)
     entrywise = np.abs(p_trap - p_line) / np.abs(p_trap)
     return LinearizedMomentsDiagnostic(
         entrywise_error=entrywise,

@@ -71,10 +71,6 @@ class TargetSpectrum:
         if np.any(np.diff(merged) <= 0.0):
             raise ValueError(f"merged spectrum is not strictly increasing: {merged}")
 
-    @property
-    def perturbed_indices(self) -> tuple[int, ...]:
-        return tuple(level.index for level in self.perturbed)
-
     def eigenvalue(self, j: int) -> float:
         """nu_j of the merged spectrum (1-based)."""
         if j < 1:

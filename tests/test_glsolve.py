@@ -260,13 +260,8 @@ class TestRecoverPotential:
         spec = TargetSpectrum(perturbed=())
         terms = build_kernel_terms(spec)
         grid = make_uniform_grid(20)
-        samples = recover_potential(terms, solve_psi_systems(terms, grid), grid)
+        samples = recover_potential(terms, solve_psi_systems(terms, grid))
         assert np.max(np.abs(samples.values)) <= 1e-10
-
-    def test_grid_mismatch_rejected(self, terms):
-        psi = solve_psi_systems(terms, make_uniform_grid(20))
-        with pytest.raises(ValueError, match="different grid"):
-            recover_potential(terms, psi, make_uniform_grid(30))
 
     def test_constructed_shape(self, pot300):
         # interior maximum, deep interior minimum, finite boundary values

@@ -1,20 +1,25 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PPoly
 
 from heatline.glsolve import PotentialSamples, make_two_zone_grid, make_uniform_grid
 from heatline.ritz import (
     DegenerateShapeError,
     JacobiConvergenceError,
+    RitzReport,
+    _ppoly_cos_moments,
     assemble_ritz_matrix,
     cosine_moments,
     jacobi_eigen,
     linearized_qtilde_diagnostic,
     relative_error,
+    trapezoid_weights,
     verify_potential,
 )
 from heatline.spectra import TargetSpectrum, default_target_spectrum
@@ -32,6 +37,42 @@ JACOBI_SIZES = st.sampled_from([1, 2, 3, 7, 10, 11])
 def constant_samples(value: float, intervals: int = 40) -> PotentialSamples:
     grid = make_uniform_grid(intervals)
     return PotentialSamples(grid=grid, values=np.full(len(grid), value))
+
+
+def chord_moments(x_lo: float, x_hi: float, y_lo: float, y_hi: float, kmax: int) -> np.ndarray:
+    """int of the chord through (x_lo, y_lo), (x_hi, y_hi) times cos(kx), k = 0 .. kmax."""
+    slope = (y_hi - y_lo) / (x_hi - x_lo)
+    return PI * _ppoly_cos_moments(PPoly(np.array([[slope], [y_lo]]), [x_lo, x_hi]), kmax)
+
+
+def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
+    """Entrywise E of the line diagnostic by a per-k, per-entry loop: the reference."""
+    x, q = samples.grid.points, samples.values
+    i_max, i_min = int(np.argmax(q)), int(np.argmin(q))
+
+    def chord(x_lo, x_hi, y_lo, y_hi, k):
+        if x_hi <= x_lo:
+            return 0.0
+        if k == 0:
+            return 0.5 * (y_lo + y_hi) * (x_hi - x_lo)
+        slope = (y_hi - y_lo) / (x_hi - x_lo)
+        return ((y_hi * math.sin(k * x_hi) - y_lo * math.sin(k * x_lo)) / k
+                + slope * (math.cos(k * x_hi) - math.cos(k * x_lo)) / k**2)
+
+    def trapezoid(k):
+        return float(np.cos(k * x) @ (trapezoid_weights(x) * q)) / PI
+
+    def line(k):
+        head = np.cos(k * x[: i_max + 1]) @ (trapezoid_weights(x[: i_max + 1]) * q[: i_max + 1])
+        mid = chord(x[i_max], x[i_min], q[i_max], q[i_min], k)
+        return (head + mid + chord(x[i_min], PI, q[i_min], q[-1], k)) / PI
+
+    def ritz(qt):
+        return np.array([[(n * n if n == m else 0.0) + qt(abs(n - m)) - qt(n + m)
+                          for m in range(1, size + 1)] for n in range(1, size + 1)])
+
+    p_trap, p_line = ritz(trapezoid), ritz(line)
+    return np.abs(p_trap - p_line) / np.abs(p_trap)
 
 
 class TestCosineMoments:
@@ -82,12 +123,11 @@ class TestCosineMoments:
 
 class TestRitzMatrix:
     def test_zero_potential_is_diagonal(self):
-        ritz = assemble_ritz_matrix(constant_samples(0.0), 6)
-        assert np.allclose(ritz.matrix, np.diag([1.0, 4.0, 9.0, 16.0, 25.0, 36.0]), atol=1e-14)
+        matrix = assemble_ritz_matrix(constant_samples(0.0), 6)
+        assert np.allclose(matrix, np.diag([1.0, 4.0, 9.0, 16.0, 25.0, 36.0]), atol=1e-14)
 
     def test_constant_shift(self):
-        ritz = assemble_ritz_matrix(constant_samples(2.0), 5)
-        eigenvalues, _ = jacobi_eigen(ritz)
+        eigenvalues, _ = jacobi_eigen(assemble_ritz_matrix(constant_samples(2.0), 5))
         assert np.allclose(eigenvalues, np.arange(1, 6) ** 2 + 2.0, atol=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -96,7 +136,7 @@ class TestRitzMatrix:
         rng = np.random.default_rng(seed)
         grid = make_uniform_grid(30)
         samples = PotentialSamples(grid=grid, values=rng.normal(scale=40.0, size=31))
-        matrix = assemble_ritz_matrix(samples, 12).matrix
+        matrix = assemble_ritz_matrix(samples, 12)
         assert np.array_equal(matrix, matrix.T)
 
     def test_rejects_bad_size(self):
@@ -149,7 +189,7 @@ class TestJacobi:
         # N = 100 Ritz matrix of the paper potential at M = 300; the library
         # solver is a reference here only.  Relative to max(|nu|, 1), since
         # nu_1 is near 0.
-        reference = np.linalg.eigvalsh(assemble_ritz_matrix(pot300, 100).matrix)
+        reference = np.linalg.eigvalsh(assemble_ritz_matrix(pot300, 100))
         error = np.abs(report300.eigenvalues - reference) / np.maximum(np.abs(reference), 1.0)
         assert np.max(error) <= 1e-11
 
@@ -174,6 +214,16 @@ class TestJacobi:
             with pytest.raises(ValueError, match="matrix must be finite"):
                 jacobi_eigen(a)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.float64(3.0), np.ones(3), np.ones((2, 3)), np.zeros((0, 0))],
+        ids=["0-d", "1-D", "2x3", "0x0"],
+    )
+    def test_rejects_non_square(self, bad):
+        message = "matrix must be square and non-empty, got shape " + re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigen(bad)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -183,28 +233,41 @@ class TestJacobi:
             jacobi_eigen(np.eye(2), tol=0.0)
 
 
+def scored_report(eigenvalues: np.ndarray, spec: TargetSpectrum, count: int) -> RitzReport:
+    errors = relative_error(eigenvalues, spec, count)
+    vectors = np.eye(len(eigenvalues))
+    return RitzReport(eigenvalues=eigenvalues, eigenvectors=vectors, target=spec, errors=errors)
+
+
 class TestRelativeError:
     def test_exact_match_gives_zero(self):
         spec = default_target_spectrum()
-        errors = relative_error(spec.eigenvalues(8), spec, 8)
-        assert errors.delta == 0.0
-        assert errors.first_abs_error == 0.0
+        report = scored_report(spec.eigenvalues(8), spec, 8)
+        assert np.array_equal(report.errors, np.zeros(8))
+        assert report.compare_count == 8
+        assert report.delta == 0.0
+        assert report.first_abs_error == 0.0
 
     def test_first_eigenvalue_reported_separately(self):
+        # the target nu_1 = 0 admits no relative error: entry 0 is absolute
+        # and stays out of delta
         spec = default_target_spectrum()
         eigenvalues = spec.eigenvalues(6)
         eigenvalues[0] = 0.05
-        errors = relative_error(eigenvalues, spec, 6)
-        assert errors.delta == 0.0
-        assert errors.first_abs_error == pytest.approx(0.05)
+        report = scored_report(eigenvalues, spec, 6)
+        assert report.errors[0] == pytest.approx(0.05)
+        assert report.delta == 0.0
+        assert report.first_abs_error == pytest.approx(0.05)
 
     def test_delta_is_max_over_tail(self):
         spec = default_target_spectrum()
         eigenvalues = spec.eigenvalues(6)
         eigenvalues[2] *= 1.03
-        errors = relative_error(eigenvalues, spec, 6)
-        assert errors.delta == pytest.approx(0.03)
-        assert errors.per_eigenvalue[2] == pytest.approx(0.03)
+        eigenvalues[4] *= 1.01
+        report = scored_report(eigenvalues, spec, 6)
+        assert report.errors[2] == pytest.approx(0.03)
+        assert report.errors[4] == pytest.approx(0.01)
+        assert report.delta == pytest.approx(0.03)
 
     def test_rejects_zero_tail_target(self):
         bad = object.__new__(TargetSpectrum)
@@ -273,8 +336,6 @@ class TestLinearizedDiagnostic:
     def test_piecewise_linear_tail_matches_trapezoid_at_k0(self):
         # trapezoid is exact for linear integrands, so the k = 0 moments of the
         # chord representation and of the panel rule coincide
-        from heatline.ritz import _line_cos_integral
-
         grid = make_uniform_grid(60)
         x = grid.points
         x_max, x_min = x[20], x[40]
@@ -283,22 +344,34 @@ class TestLinearizedDiagnostic:
         diag = linearized_qtilde_diagnostic(samples, 8)
         assert diag.x_max == pytest.approx(x_max)
         assert diag.x_min == pytest.approx(x_min)
-        # line integrals reproduce the exact areas of the two tail chords
+        # chord moments reproduce the exact areas of the two tail chords
         area_mid = 0.5 * (30.0 - 50.0) * (x_min - x_max)
         area_tail = 0.5 * (-50.0 - 10.0) * (PI - x_min)
-        assert _line_cos_integral(x_max, x_min, 30.0, -50.0, 0) == pytest.approx(area_mid, abs=1e-10)
-        assert _line_cos_integral(x_min, PI, -50.0, -10.0, 0) == pytest.approx(area_tail, abs=1e-10)
+        assert chord_moments(x_max, x_min, 30.0, -50.0, 0)[0] == pytest.approx(area_mid, abs=1e-10)
+        assert chord_moments(x_min, PI, -50.0, -10.0, 0)[0] == pytest.approx(area_tail, abs=1e-10)
 
     def test_line_integral_against_quadrature(self):
-        from heatline.ritz import _line_cos_integral
-
         x = np.linspace(0.8, 2.1, 20001)
         line = -3.0 + 2.5 * x
+        moments = chord_moments(0.8, 2.1, line[0], line[-1], 9)
         for k in (1, 4, 9):
             reference = np.trapezoid(line * np.cos(k * x), x)
-            assert _line_cos_integral(0.8, 2.1, line[0], line[-1], k) == pytest.approx(
-                reference, abs=1e-7
-            )
+            assert moments[k] == pytest.approx(reference, abs=1e-7)
+
+    @pytest.mark.parametrize("shape", ["two_zone_50_75", "minimum_at_pi"])
+    def test_matches_loop_reference(self, shape, pot_two_zone_50_75):
+        if shape == "two_zone_50_75":
+            samples, size = pot_two_zone_50_75, 20
+        else:
+            # the minimum is the last sample, so the tail chord has zero width
+            grid = make_uniform_grid(60)
+            values = np.interp(grid.points, [0.0, grid.points[20], PI], [0.0, 30.0, -50.0])
+            samples, size = PotentialSamples(grid=grid, values=values), 8
+        diag = linearized_qtilde_diagnostic(samples, size)
+        assert np.all(np.isfinite(diag.entrywise_error))
+        # atol covers entries whose exact E is 0, where both sides are rounding noise
+        reference = loop_linearized_error(samples, size)
+        assert np.allclose(diag.entrywise_error, reference, rtol=1e-11, atol=1e-14)
 
     def test_entrywise_errors_nonnegative(self, pot_two_zone_50_75):
         diag = linearized_qtilde_diagnostic(pot_two_zone_50_75, 20)
