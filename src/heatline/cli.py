@@ -66,6 +66,11 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 
+#: largest total number of grid intervals; M = 1e5 constructs in about 1.4 s
+MAX_GRID_INTERVALS = 100_000
+#: largest sine basis; Jacobi takes about 1 s at N = 200 and 13 s at N = 400
+MAX_RITZ_N = 400
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,6 +96,13 @@ class RunConfig:
             raise ValueError("choose either --grid-m or --grid-m1/--grid-m2, not both")
         if two_zone and (self.grid_m1 is None or self.grid_m2 is None):
             raise ValueError("a two-zone grid needs both --grid-m1 and --grid-m2")
+        intervals = sum(m for m in (self.grid_m, self.grid_m1, self.grid_m2) if m is not None)
+        if intervals > MAX_GRID_INTERVALS:
+            raise ValueError(f"refusing to allocate a grid of {intervals} intervals "
+                             f"(limit {MAX_GRID_INTERVALS})")
+        if self.ritz_n > MAX_RITZ_N:
+            raise ValueError(f"refusing to allocate a sine basis of {self.ritz_n} functions "
+                             f"(limit {MAX_RITZ_N})")
         if self.ritz_n < self.compare_j or self.compare_j < 2:
             raise ValueError("require ritz_n >= compare_j >= 2")
         if self.jacobi_tol <= 0.0:
@@ -112,6 +124,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file must hold a JSON object, got {file_values!r}")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(file_values) - known
         if unknown:

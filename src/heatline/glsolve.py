@@ -24,11 +24,9 @@ pivoting (LAPACK gesv) for psi and one for psi'.  Before it, the condition
 number of I + G(s) is checked at every s, and a near-singular system is
 reported with the s where it occurs.
 
-The gram matrix G(s) is computed in closed form by default: every integrand
-is a product of sines or a linear function, and the exact primitives keep the
-solve free of quadrature error even on coarse grids.  A cumulative-trapezoid
-variant is kept for discretization studies; near s = pi the matrix I + G is
-close to singular and trapezoid errors in G are strongly amplified there.
+The gram matrix G(s) is computed in closed form: every integrand is a
+product of sines or a linear function, and the exact primitives keep the
+solve free of quadrature error even on coarse grids.
 """
 
 from __future__ import annotations
@@ -146,38 +144,15 @@ def exact_gram(terms: KernelTermList, s) -> np.ndarray:
     return out
 
 
-def trapezoid_gram(terms: KernelTermList, grid: Grid) -> np.ndarray:
-    """Cumulative-trapezoid G at every grid point; one panel per step and pair."""
-    x = grid.points
-    a = terms.a_values(x)
-    b = terms.b_values(x)
-    integrand = a[:, None, :] * b[None, :, :]          # (m, j, points)
-    dx = np.diff(x)
-    panels = 0.5 * dx * (integrand[:, :, :-1] + integrand[:, :, 1:])
-    out = np.zeros((len(x), terms.rank, terms.rank))
-    np.cumsum(panels, axis=2, out=panels)
-    out[1:] = np.moveaxis(panels, 2, 0)
-    return out
-
-
-def solve_psi_systems(terms: KernelTermList, grid: Grid, gram: str = "exact") -> PsiSolution:
-    """Solve the reduced system and its differentiated companion at every grid point.
-
-    gram selects how G(s) is computed: "exact" (closed form, default) or
-    "trapezoid" (cumulative panels on the grid).
-    """
+def solve_psi_systems(terms: KernelTermList, grid: Grid) -> PsiSolution:
+    """Solve the reduced system and its differentiated companion at every grid point."""
     x = grid.points
     npts = len(x)
     r = terms.rank
     if r == 0:
         zeros = np.zeros((npts, 0))
         return PsiSolution(grid=grid, psi=zeros, psi_prime=zeros.copy())
-    if gram == "exact":
-        G = exact_gram(terms, x)
-    elif gram == "trapezoid":
-        G = trapezoid_gram(terms, grid)
-    else:
-        raise ValueError(f"unknown gram rule {gram!r}")
+    G = exact_gram(terms, x)
     a = terms.a_values(x).T[..., None]             # (points, rank, 1)
     ap = terms.a_prime_values(x).T[..., None]
     b = terms.b_values(x).T[..., None]
@@ -217,10 +192,8 @@ def recover_potential(terms: KernelTermList, psi: PsiSolution) -> PotentialSampl
     return PotentialSamples(grid=grid, values=2.0 * (k_s + k_t))
 
 
-def construct_potential(
-    spectrum: TargetSpectrum, grid: Grid, gram: str = "exact"
-) -> PotentialSamples:
+def construct_potential(spectrum: TargetSpectrum, grid: Grid) -> PotentialSamples:
     """Full construction pipeline: kernel terms, psi systems, potential recovery."""
     terms = build_kernel_terms(spectrum)
-    psi = solve_psi_systems(terms, grid, gram=gram)
+    psi = solve_psi_systems(terms, grid)
     return recover_potential(terms, psi)

@@ -8,12 +8,11 @@ problem -u'' + Q u = nu u becomes P C = nu C with
     qt(k) = (1/pi) int_0^pi Q(x) cos(k x) dx.
 
 Only the cosine moments qt(0 .. 2N) touch the data.  They are evaluated by
-reconstructing the samples with a spline (quadratic by default) and
-integrating spline * cos(kx) in closed form per panel; the classical
-trapezoid rule and lower/higher reconstruction orders are available for
-comparison studies.  Plain trapezoid moments lose all accuracy at high k on
-coarse panels (k h per panel exceeds the cosine period), which is what the
-piecewise-line diagnostic at the bottom of this module quantifies.
+reconstructing the samples with a quadratic spline and integrating
+spline * cos(kx) in closed form per panel.  Plain trapezoid moments lose all
+accuracy at high k on coarse panels (k h per panel exceeds the cosine
+period); the piecewise-line diagnostic at the bottom of this module uses
+them as its reference.
 
 P is diagonalized with a self-contained Jacobi rotation sweep in the
 round-robin ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
@@ -33,9 +32,6 @@ from .csvio import write_csv
 from .glsolve import PotentialSamples
 from .spectra import PI, TargetSpectrum
 
-_SPLINE_DEGREE = {"linear": 1, "quadratic": 2, "cubic": 3}
-
-DEFAULT_MOMENT_RULE = "quadratic"
 DEFAULT_BASIS_SIZE = 100
 DEFAULT_COMPARE_COUNT = 20
 DEFAULT_JACOBI_TOL = 1e-10
@@ -58,15 +54,15 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
-    """Exact integrals (1/pi) int p(x) cos(kx) dx of a piecewise cubic-or-lower p."""
+    """Exact integrals (1/pi) int p(x) cos(kx) dx of a piecewise quadratic-or-lower p."""
     x0, x1 = pp.x[:-1], pp.x[1:]
     h = np.diff(pp.x)
     c = pp.c
-    if c.shape[0] < 4:
-        c = np.vstack([np.zeros((4 - c.shape[0], c.shape[1])), c])
-    c3, c2, c1, c0 = c
+    if c.shape[0] < 3:
+        c = np.vstack([np.zeros((3 - c.shape[0], c.shape[1])), c])
+    c2, c1, c0 = c
     out = np.empty(kmax + 1)
-    out[0] = np.sum(c3 * h**4 / 4.0 + c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
+    out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
     for k in range(1, kmax + 1):
         sin0, sin1 = np.sin(k * x0), np.sin(k * x1)
         cos0, cos1 = np.cos(k * x0), np.cos(k * x1)
@@ -76,9 +72,7 @@ def _ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
         C1 = (h * sin1 - S0) / k
         S1 = (-h * cos1 + C0) / k
         C2 = (h**2 * sin1 - 2.0 * S1) / k
-        S2 = (-(h**2) * cos1 + 2.0 * C1) / k
-        C3 = (h**3 * sin1 - 3.0 * S2) / k
-        out[k] = np.sum(c3 * C3 + c2 * C2 + c1 * C1 + c0 * C0) / PI
+        out[k] = np.sum(c2 * C2 + c1 * C1 + c0 * C0) / PI
     return out
 
 
@@ -88,24 +82,15 @@ def _trapezoid_cos_moments(x: np.ndarray, q: np.ndarray, kmax: int) -> np.ndarra
     return (np.cos(np.outer(k, x)) @ (trapezoid_weights(x) * q)) / PI
 
 
-def cosine_moments(samples: PotentialSamples, kmax: int, rule: str = DEFAULT_MOMENT_RULE) -> np.ndarray:
+def cosine_moments(samples: PotentialSamples, kmax: int) -> np.ndarray:
     """Moments qt(0 .. kmax) of the sampled potential.
 
-    rule "trapezoid" applies the panel rule directly to Q(x_i) cos(k x_i);
-    "linear" / "quadratic" / "cubic" integrate a spline reconstruction of
-    that order against cos(kx) exactly.  All rules handle non-uniform grids.
+    The quadratic spline through the samples is integrated against cos(kx)
+    exactly, panel by panel, on uniform and non-uniform grids alike.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    x = samples.grid.points
-    q = samples.values
-    if rule == "trapezoid":
-        return _trapezoid_cos_moments(x, q, kmax)
-    try:
-        degree = _SPLINE_DEGREE[rule]
-    except KeyError:
-        raise ValueError(f"unknown moment rule {rule!r}") from None
-    spline = make_interp_spline(x, q, k=degree)
+    spline = make_interp_spline(samples.grid.points, samples.values, k=2)
     return _ppoly_cos_moments(PPoly.from_spline(spline), kmax)
 
 
@@ -117,13 +102,11 @@ def _ritz_from_moments(qt: np.ndarray, size: int) -> np.ndarray:
     return matrix
 
 
-def assemble_ritz_matrix(
-    samples: PotentialSamples, size: int, rule: str = DEFAULT_MOMENT_RULE
-) -> np.ndarray:
+def assemble_ritz_matrix(samples: PotentialSamples, size: int) -> np.ndarray:
     """Ritz matrix P of the sampled potential in the first `size` sine modes."""
     if size < 1:
         raise ValueError("basis size must be >= 1")
-    return _ritz_from_moments(cosine_moments(samples, 2 * size, rule=rule), size)
+    return _ritz_from_moments(cosine_moments(samples, 2 * size), size)
 
 
 def _round_robin_pairings(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,12 +262,11 @@ def verify_potential(
     basis_size: int = DEFAULT_BASIS_SIZE,
     compare_count: int = DEFAULT_COMPARE_COUNT,
     jacobi_tol: float = DEFAULT_JACOBI_TOL,
-    rule: str = DEFAULT_MOMENT_RULE,
 ) -> RitzReport:
     """Assemble P, diagonalize, and score the result against the target."""
     if basis_size < compare_count:
         raise ValueError("basis_size must be >= compare_count")
-    matrix = assemble_ritz_matrix(samples, basis_size, rule=rule)
+    matrix = assemble_ritz_matrix(samples, basis_size)
     eigenvalues, eigenvectors = jacobi_eigen(matrix, tol=jacobi_tol)
     return RitzReport(
         eigenvalues=eigenvalues,
@@ -333,7 +315,7 @@ def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> Linear
     chords = PPoly(np.vstack([slopes, ends[:-1]]), knots)
     qt_line = _trapezoid_cos_moments(x[: i_max + 1], q[: i_max + 1], kmax)
     qt_line += _ppoly_cos_moments(chords, kmax)
-    p_trap = _ritz_from_moments(cosine_moments(samples, kmax, rule="trapezoid"), size)
+    p_trap = _ritz_from_moments(_trapezoid_cos_moments(x, q, kmax), size)
     p_line = _ritz_from_moments(qt_line, size)
     entrywise = np.abs(p_trap - p_line) / np.abs(p_trap)
     return LinearizedMomentsDiagnostic(

@@ -80,15 +80,6 @@ class TargetSpectrum:
                 return level.nu
         return float(j * j)
 
-    def normalizer(self, j: int) -> float:
-        """alpha_j of the merged spectrum (1-based)."""
-        if j < 1:
-            raise ValueError("spectral index must be >= 1")
-        for level in self.perturbed:
-            if level.index == j:
-                return level.alpha
-        return FREE_NORMALIZER
-
     def eigenvalues(self, count: int) -> np.ndarray:
         """First `count` merged eigenvalues, ascending in index."""
         return np.array([self.eigenvalue(j) for j in range(1, count + 1)])

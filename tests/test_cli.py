@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ class TestInputContract:
         assert rc == EXIT_INPUT
         assert word in assert_one_error_line(capsys)
         assert not (tmp_path / "potential.csv").exists()
+
+    @pytest.mark.parametrize("content", ["5", "null", "[]", '"abc"'])
+    def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        config.write_text(content)
+        assert main(["construct", "--config", str(config), "--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "config file must hold a JSON object" in assert_one_error_line(capsys)
+        assert not (tmp_path / "potential.csv").exists()
+
+    @pytest.mark.parametrize("argv, word", [
+        (["construct", "--grid-m", "100000000"], "grid of 100000000 intervals"),
+        (["construct", "--grid-m1", "50000", "--grid-m2", "50001"], "grid of 100001 intervals"),
+        (["table", "uniform", "--ritz-n", "100000"], "sine basis of 100000"),
+    ])
+    def test_sizes_are_bounded_before_allocation(self, tmp_path, capsys, argv, word):
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_INPUT
+        assert word in assert_one_error_line(capsys)
+        assert peak < 1_000_000
+        assert not any(tmp_path.iterdir())
 
     def test_grid_too_large_to_allocate(self, tmp_path, capsys):
         rc = main(["construct", "--grid-m", "1000000000000", "--out-dir", str(tmp_path)])

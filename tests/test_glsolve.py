@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.linalg import lu_factor, lu_solve
 
+from heatline import glsolve
 from heatline.glsolve import (
     Grid,
     PotentialSamples,
@@ -16,7 +18,6 @@ from heatline.glsolve import (
     make_uniform_grid,
     recover_potential,
     solve_psi_systems,
-    trapezoid_gram,
 )
 from heatline.spectra import (
     FREE_NORMALIZER,
@@ -100,25 +101,26 @@ class TestGrids:
             Grid(np.array([0.1, 1.0, PI]))
 
 
+def cumulative_trapezoid_gram(terms, x):
+    """int_0^{x_i} a_m(t) b_j(t) dt by the cumulative trapezoid rule on the points x."""
+    integrand = terms.a_values(x)[:, None, :] * terms.b_values(x)[None, :, :]
+    return np.moveaxis(cumulative_trapezoid(integrand, x, initial=0.0), 2, 0)
+
+
+def gram_entry_by_quadrature(terms, m, j, s):
+    """int_0^s a_m(t) b_j(t) dt by adaptive quadrature."""
+    return quad(lambda t: terms.a_values(t)[m] * terms.b_values(t)[j], 0.0, s,
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
 class TestGramIntegrals:
     def test_zero_at_origin(self, terms):
-        grid = make_uniform_grid(10)
-        assert np.all(trapezoid_gram(terms, grid)[0] == 0.0)
+        assert np.all(exact_gram(terms, make_uniform_grid(10).points)[0] == 0.0)
         assert np.all(exact_gram(terms, 0.0) == 0.0)
 
     def test_linear_pair_entry_is_one(self, terms):
         # closed form: int_0^pi (3 t / pi^3) * t dt = 1
-        grid = make_uniform_grid(200)
-        val = trapezoid_gram(terms, grid)[-1][0, 0]
-        assert val == pytest.approx(1.0, abs=2e-5)
-
-    def test_trapezoid_entry_converges_quadratically(self, terms):
-        errs = []
-        for m in (50, 100, 200):
-            grid = make_uniform_grid(m)
-            errs.append(abs(trapezoid_gram(terms, grid)[-1][0, 0] - 1.0))
-        assert errs[0] / errs[1] >= 3.0
-        assert errs[1] / errs[2] >= 3.0
+        assert gram_entry_by_quadrature(terms, 0, 0, PI) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_gram_linear_entry(self, terms):
         assert exact_gram(terms, PI)[0, 0] == pytest.approx(1.0, rel=1e-14)
@@ -126,11 +128,16 @@ class TestGramIntegrals:
     def test_exact_matches_trapezoid_in_the_limit(self, terms):
         errs = []
         for m in (100, 200):
-            grid = make_uniform_grid(m)
-            trap = trapezoid_gram(terms, grid)
-            exact = exact_gram(terms, grid.points)
-            errs.append(np.max(np.abs(trap - exact)))
+            x = make_uniform_grid(m).points
+            trap = cumulative_trapezoid_gram(terms, x)
+            errs.append(np.max(np.abs(trap - exact_gram(terms, x))))
         assert errs[0] / errs[1] >= 3.0
+
+    @pytest.mark.parametrize("s", [0.7, 2.0, PI])
+    def test_exact_matches_quadrature(self, terms, s):
+        reference = np.array([[gram_entry_by_quadrature(terms, m, j, s)
+                               for j in range(terms.rank)] for m in range(terms.rank)])
+        assert np.allclose(exact_gram(terms, s), reference, rtol=1e-10, atol=1e-12)
 
 
 def solves_to(matrix, solution, rhs, rhs_scale, tol):
@@ -223,25 +230,24 @@ class TestPsiSystems:
         psi = solve_psi_systems(terms, make_uniform_grid(50))
         assert np.allclose(psi.psi[0], 0.0, atol=1e-14)
 
-    def test_trapezoid_reduction_matches_nystrom(self, terms, grid300):
-        # both reduce the same discretized integral equation
-        psi = solve_psi_systems(terms, grid300, gram="trapezoid")
+    def test_trapezoid_reduction_matches_nystrom(self, terms, grid300, monkeypatch):
+        # with the gram integrals taken by the trapezoid rule, the finite-rank
+        # reduction and the Nystrom solve discretize the same integral equation
+        monkeypatch.setattr(glsolve, "exact_gram", cumulative_trapezoid_gram)
+        psi = solve_psi_systems(terms, grid300)
         reference = nystrom_psi(terms, grid300)
         scale = np.max(np.abs(psi.psi))
         assert np.max(np.abs(psi.psi - reference)) / scale <= 1e-3
 
     def test_exact_gram_is_the_trapezoid_limit(self, terms):
-        errs = []
-        for m in (100, 200):
+        # the trapezoid-rule Nystrom solve converges to the exact-gram psi at O(h^2)
+        errs = {}
+        for m in (100, 150, 200, 300):
             grid = make_uniform_grid(m)
-            exact = solve_psi_systems(terms, grid, gram="exact")
-            trap = solve_psi_systems(terms, grid, gram="trapezoid")
-            errs.append(np.max(np.abs(exact.psi - trap.psi)))
-        assert errs[0] / errs[1] >= 3.0
-
-    def test_unknown_gram_rule(self, terms):
-        with pytest.raises(ValueError, match="gram"):
-            solve_psi_systems(terms, make_uniform_grid(10), gram="simpson")
+            exact = solve_psi_systems(terms, grid)
+            errs[m] = np.max(np.abs(exact.psi - nystrom_psi(terms, grid)))
+        assert errs[100] / errs[200] >= 3.0
+        assert errs[150] / errs[300] >= 3.0
 
     def test_psi_prime_matches_finite_difference_at_second_order(self, terms):
         errs = []

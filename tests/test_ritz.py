@@ -14,6 +14,7 @@ from heatline.ritz import (
     JacobiConvergenceError,
     RitzReport,
     _ppoly_cos_moments,
+    _trapezoid_cos_moments,
     assemble_ritz_matrix,
     cosine_moments,
     jacobi_eigen,
@@ -28,7 +29,20 @@ from oracles import bisection_eigenvalues, fd_eigenvalues
 
 PI = math.pi
 
-ALL_RULES = ("trapezoid", "linear", "quadratic", "cubic")
+
+def linear_moments(samples: PotentialSamples, kmax: int) -> np.ndarray:
+    """Exact moments of the piecewise-linear interpolant, the chord path of the line diagnostic."""
+    x, q = samples.grid.points, samples.values
+    return _ppoly_cos_moments(PPoly(np.vstack([np.diff(q) / np.diff(x), q[:-1]]), x), kmax)
+
+
+# every moment path in ritz: the panel rule, piecewise-linear and quadratic-spline moments
+MOMENT_RULES = {
+    "trapezoid": lambda samples, kmax: _trapezoid_cos_moments(samples.grid.points, samples.values, kmax),
+    "linear": linear_moments,
+    "quadratic": cosine_moments,
+}
+ALL_RULES = tuple(MOMENT_RULES)
 
 # odd sizes leave one index unpaired in each round-robin step
 JACOBI_SIZES = st.sampled_from([1, 2, 3, 7, 10, 11])
@@ -78,25 +92,25 @@ def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
 class TestCosineMoments:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_zero_potential(self, rule):
-        moments = cosine_moments(constant_samples(0.0), 10, rule=rule)
+        moments = MOMENT_RULES[rule](constant_samples(0.0), 10)
         assert np.allclose(moments, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_constant_k0(self, rule):
-        moments = cosine_moments(constant_samples(1.0), 4, rule=rule)
+        moments = MOMENT_RULES[rule](constant_samples(1.0), 4)
         assert moments[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_constant_k1_vanishes(self, rule):
         # closed form: int_0^pi cos(kx) dx = 0 for k >= 1
-        moments = cosine_moments(constant_samples(1.0), 4, rule=rule)
+        moments = MOMENT_RULES[rule](constant_samples(1.0), 4)
         assert abs(moments[1]) <= 1e-10
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_constant_on_two_zone_grid(self, rule):
         grid = make_two_zone_grid(13, 29)
         samples = PotentialSamples(grid=grid, values=np.full(len(grid), 2.5))
-        moments = cosine_moments(samples, 6, rule=rule)
+        moments = MOMENT_RULES[rule](samples, 6)
         assert moments[0] == pytest.approx(2.5, abs=1e-10)
         if rule != "trapezoid":
             # spline reconstructions of a constant integrate cos(kx) exactly;
@@ -107,14 +121,10 @@ class TestCosineMoments:
         # Q = cos(3x) has qt(3) = 1/2 and all other moments 0
         grid = make_uniform_grid(200)
         samples = PotentialSamples(grid=grid, values=np.cos(3.0 * grid.points))
-        moments = cosine_moments(samples, 8, rule="quadratic")
+        moments = cosine_moments(samples, 8)
         expected = np.zeros(9)
         expected[3] = 0.5
         assert np.allclose(moments, expected, atol=1e-6)
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError, match="rule"):
-            cosine_moments(constant_samples(1.0), 3, rule="simpson")
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):

@@ -33,12 +33,12 @@ class TestTargetSpectrum:
     def test_free_entries_beyond_perturbed(self):
         spec = default_target_spectrum()
         assert spec.eigenvalue(4) == 16.0
-        assert spec.normalizer(5) == FREE_NORMALIZER
+        assert all(level.index != 5 for level in spec.perturbed)
 
     def test_default_normalizers(self):
         spec = default_target_spectrum()
-        assert spec.normalizer(1) == pytest.approx(PI**3 / 3.0)
-        assert spec.normalizer(2) == pytest.approx(PI / 2.0)
+        assert spec.perturbed[0].alpha == pytest.approx(PI**3 / 3.0)
+        assert spec.perturbed[1].alpha == pytest.approx(PI / 2.0)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
@@ -71,9 +71,9 @@ class TestSpectrumFile:
             ]
         }))
         spec = load_target_spectrum(path)
-        assert spec.normalizer(1) == pytest.approx(ZERO_LEVEL_NORMALIZER)
-        assert spec.normalizer(2) == pytest.approx(FREE_NORMALIZER)
-        assert spec.normalizer(3) == 2.0
+        assert spec.perturbed[0].alpha == pytest.approx(ZERO_LEVEL_NORMALIZER)
+        assert spec.perturbed[1].alpha == pytest.approx(FREE_NORMALIZER)
+        assert spec.perturbed[2].alpha == 2.0
         assert spec.eigenvalue(2) == 11.0
 
     def test_load_bare_list(self, tmp_path):
