@@ -68,7 +68,9 @@ EXIT_INPUT = 2
 
 #: largest total number of grid intervals; M = 1e5 constructs in about 1.4 s
 MAX_GRID_INTERVALS = 100_000
-#: largest sine basis; Jacobi takes about 1 s at N = 200 and 13 s at N = 400
+#: largest sine basis; a cold Jacobi on the paper matrix takes about 1.3 s at
+#: N = 200 and 15 s at N = 400 on 2 vCPUs (1.7 s and 32 s without pair
+#: compression, same host)
 MAX_RITZ_N = 400
 
 
@@ -87,7 +89,12 @@ class RunConfig:
     out_dir: str = "out"
     threshold: float | None = None
 
-    def validate(self) -> None:
+    def validate(self, verifies: bool = True) -> None:
+        """Reject ill-typed, conflicting or oversized values.
+
+        `verifies` is false for a command that never builds the ritz_n
+        basis, so compare_j need not fit inside it.
+        """
         for name, hint in typing.get_type_hints(RunConfig).items():
             check_type(name, getattr(self, name), typing.get_args(hint) or (hint,))
         uniform = self.grid_m is not None
@@ -100,10 +107,11 @@ class RunConfig:
         if intervals > MAX_GRID_INTERVALS:
             raise ValueError(f"refusing to allocate a grid of {intervals} intervals "
                              f"(limit {MAX_GRID_INTERVALS})")
-        if self.ritz_n > MAX_RITZ_N:
-            raise ValueError(f"refusing to allocate a sine basis of {self.ritz_n} functions "
-                             f"(limit {MAX_RITZ_N})")
-        if self.ritz_n < self.compare_j or self.compare_j < 2:
+        for name in ("ritz_n", "compare_j"):
+            if getattr(self, name) > MAX_RITZ_N:
+                raise ValueError(f"refusing to allocate a sine basis of {getattr(self, name)} "
+                                 f"functions for {name} (limit {MAX_RITZ_N})")
+        if (verifies and self.ritz_n < self.compare_j) or self.compare_j < 2:
             raise ValueError("require ritz_n >= compare_j >= 2")
         if self.jacobi_tol <= 0.0:
             raise ValueError("jacobi tolerance must be positive")
@@ -117,6 +125,37 @@ class RunConfig:
         if self.spectrum_file is None:
             return default_target_spectrum()
         return load_target_spectrum(self.spectrum_file)
+
+
+GRID_FLAGS = ("grid_m", "grid_m1", "grid_m2", "grid_split")
+RITZ_FLAGS = ("ritz_n", "compare_j", "jacobi_tol")
+
+
+def _read_flags(args: argparse.Namespace) -> set[str]:
+    """Dests of the parsed arguments that the chosen command reads."""
+    reused = getattr(args, "potential", None) is not None
+    built = () if reused else ("spectrum_file", *GRID_FLAGS)
+    split = ("grid_split",) if getattr(args, "which", None) == "two_zone" else ()
+    read = {
+        "construct": ("spectrum_file", *GRID_FLAGS),
+        "verify": ("spectrum_file", "potential", *RITZ_FLAGS, "threshold"),
+        # the table rows fix their own grid sizes; only the two-zone split is free
+        "table": ("spectrum_file", *RITZ_FLAGS, *split),
+        "channel": ("spectrum_file", "potential", *built, *RITZ_FLAGS),
+        "diagnose-linearized": ("potential", "compare_j", *built),
+    }[args.command]
+    return {"command", "which", "config", "out_dir", *read}
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag the chosen command would ignore; config-file keys may be shared."""
+    read = _read_flags(args)
+    unread = [name for name, value in vars(args).items() if value is not None and name not in read]
+    if unread:
+        command = " ".join([args.command, *([args.which] if args.command == "table" else [])])
+        with_potential = " with --potential" if getattr(args, "potential", None) else ""
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise ValueError(f"heatline {command}{with_potential} does not read {flags}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -137,17 +176,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if getattr(args, f.name, None) is not None
     }
     config = replace(config, **overrides)
-    config.validate()
+    config.validate(verifies="ritz_n" in _read_flags(args))
     return config
 
 
-def _verify(config: RunConfig, samples: PotentialSamples, spectrum: TargetSpectrum) -> RitzReport:
+def _verify(
+    config: RunConfig,
+    samples: PotentialSamples,
+    spectrum: TargetSpectrum,
+    start: np.ndarray | None = None,
+) -> RitzReport:
     return verify_potential(
         samples,
         spectrum,
         basis_size=config.ritz_n,
         compare_count=config.compare_j,
         jacobi_tol=config.jacobi_tol,
+        start=start,
     )
 
 
@@ -180,9 +225,13 @@ def cmd_table(config: RunConfig, which: str) -> int:
     spectrum = config.load_spectrum()
     table = TABLE_ROWS[which]
     rows = []
+    # each row after the first starts Jacobi from the previous row's
+    # eigenbasis, which nearly diagonalizes the next, finer potential
+    start = None
     for grid_flags, reference, label in table:
         grid = replace(config, **{"grid_m": None, "grid_m1": None, "grid_m2": None, **grid_flags}).make_grid()
-        delta = _verify(config, construct_potential(spectrum, grid), spectrum).delta
+        report = _verify(config, construct_potential(spectrum, grid), spectrum, start)
+        delta, start = report.delta, report.eigenvectors
         print(f"{label}: delta = {100 * delta:.4f}%  (reference {reference}%)")
         rows.append((*grid_flags.values(), 100.0 * delta, reference))
     header = [flag.removeprefix("grid_") for flag in table[0][0]] + ["delta", "paper_delta"]
@@ -297,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_unread_flags(args)
         config = _config_from_args(args)
         if args.command == "construct":
             return cmd_construct(config)

@@ -66,6 +66,9 @@ class TargetSpectrum:
                 raise ValueError(f"eigenvalue nu_{level.index} = {level.nu} is negative")
             if level.alpha <= 0.0:
                 raise ValueError(f"normalizer alpha_{level.index} = {level.alpha} must be positive")
+            if not math.isfinite(1.0 / level.alpha):
+                raise ValueError(f"normalizer alpha_{level.index} = {level.alpha} makes the "
+                                 f"kernel weight 1/alpha_{level.index} overflow")
             last_index = level.index
         merged = self.eigenvalues(max((lv.index for lv in self.perturbed), default=0) + 1)
         if np.any(np.diff(merged) <= 0.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heatline.channel import ModeSet, heat_series
-from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, RunConfig, main
+from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, TABLE_ROWS, RunConfig, main
 from heatline.glsolve import PotentialSamples, construct_potential, make_uniform_grid
 from heatline.ritz import verify_potential
 from heatline.spectra import default_target_spectrum
@@ -73,7 +73,10 @@ class TestInputContract:
         ([{"index": True, "nu": 5.0}], "index"),
         ([{"index": 2}], "spectrum record 1 is missing 'nu'"),
         ([{"index": 2, "nu": 5.0}, {"nu": 5}], "spectrum record 2 is missing 'index'"),
+        ([{"index": 2, "nu": 5.0, "alpha": 1e-320}], "kernel weight 1/alpha_2 overflow"),
     ])
+    # a numpy RuntimeWarning would be a second stderr line outside pytest
+    @pytest.mark.filterwarnings("error")
     def test_wrong_type_in_spectrum_file_is_rejected(self, tmp_path, capsys, spectrum, word):
         path = tmp_path / "spectrum.json"
         path.write_text(json.dumps(spectrum))
@@ -106,6 +109,32 @@ class TestInputContract:
         assert word in assert_one_error_line(capsys)
         assert peak < 1_000_000
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, command, flags", [
+        (["construct", "--threshold", "1e-12", "--ritz-n", "7", "--compare-j", "5"],
+         "construct", "--ritz-n, --compare-j, --threshold"),
+        (["diagnose-linearized", "--threshold", "1e-12", "--ritz-n", "30"],
+         "diagnose-linearized", "--ritz-n, --threshold"),
+        (["table", "uniform", "--grid-m", "50", "--threshold", "1e-12"], "table uniform", "--grid-m, --threshold"),
+        (["table", "uniform", "--grid-split", "2.5"], "table uniform", "--grid-split"),
+        (["verify", "--grid-m1", "50", "--grid-m2", "75"], "verify", "--grid-m1, --grid-m2"),
+        (["channel", "--potential", "q.csv", "--grid-m", "60", "--threshold", "0.1"],
+         "channel with --potential", "--grid-m, --threshold"),
+        (["diagnose-linearized", "--potential", "q.csv", "--grid-split", "2.5", "--spectrum-file", "s.json"],
+         "diagnose-linearized with --potential", "--spectrum-file, --grid-split"),
+    ])
+    def test_unread_flag_is_rejected(self, tmp_path, capsys, argv, command, flags):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert assert_one_error_line(capsys) == f"error: heatline {command} does not read {flags}"
+        assert not any(tmp_path.iterdir())
+
+    def test_config_keys_are_shared_across_commands(self, tmp_path):
+        # a config file may carry keys that only some commands read
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"grid_m": 40, "threshold": 0.5, "ritz_n": 30,
+                                      "out_dir": str(tmp_path)}))
+        assert main(["construct", "--config", str(config)]) == EXIT_OK
+        assert main(["verify", "--config", str(config)]) == EXIT_OK
 
     def test_grid_too_large_to_allocate(self, tmp_path, capsys):
         rc = main(["construct", "--grid-m", "1000000000000", "--out-dir", str(tmp_path)])
@@ -281,8 +310,9 @@ class TestTableCommand:
         assert deltas[0] > deltas[1] > deltas[2]
 
     def test_uniform_deltas_match_recorded_values(self, tmp_path):
-        # deltas (percent) as computed with the cyclic-by-rows Jacobi
-        # ordering; a change of rotation order may move them by rounding only
+        # deltas (percent) recorded with a cyclic-by-rows Jacobi that started
+        # every row cold; the round-robin ordering and the warm start of the
+        # rows after the first move them by rounding only
         recorded = [
             0.04631837359435461,
             0.0085986384534386673,
@@ -294,3 +324,15 @@ class TestTableCommand:
         _, rows = read_rows(tmp_path / "table_uniform.csv")
         assert [int(r[0]) for r in rows] == [100, 150, 200, 250, 300]
         assert np.allclose([float(r[1]) for r in rows], recorded, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("which", ["uniform", "two_zone"])
+    def test_warm_rows_match_cold_verify(self, tmp_path, spectrum, which):
+        assert main(["table", which, "--out-dir", str(tmp_path)]) == EXIT_OK
+        header, rows = read_rows(tmp_path / f"table_{which}.csv")
+        deltas = [float(row[header.index("delta")]) for row in rows]
+        cold = [100.0 * verify_potential(construct_potential(spectrum, RunConfig(**flags).make_grid()),
+                                         spectrum).delta
+                for flags, _, _ in TABLE_ROWS[which]]
+        # the first row starts cold; the others start from the row before
+        assert deltas[0] == cold[0]
+        assert np.allclose(deltas, cold, rtol=1e-8, atol=0.0)

@@ -161,10 +161,11 @@ class TestPivotedSolve:
             solve_psi_systems(terms, make_uniform_grid(10))
 
     def test_non_finite_system_raises(self):
-        # alpha = 1e-320 passes the alpha > 0 check but its weight 1/alpha overflows
-        spectrum = TargetSpectrum(perturbed=(PerturbedLevel(2, 5.0, 1e-320),))
+        # the terms of level (2, nu = 5, alpha = 1e-320), whose weight 1/alpha
+        # overflows; TargetSpectrum rejects that level, so build them directly
+        terms = KernelTermList(weights=[1.0 / 1e-320, -2.0 / PI], frequencies=[math.sqrt(5.0), 2.0])
         with pytest.raises(SingularSystemError, match=r"s = 0\.000000"):
-            solve_psi_systems(build_kernel_terms(spectrum), make_uniform_grid(10))
+            solve_psi_systems(terms, make_uniform_grid(10))
 
     @given(spectrum=admissible_spectra())
     @settings(max_examples=25, deadline=None)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PPoly
+from scipy.interpolate import PPoly, make_interp_spline
 
-from heatline.glsolve import PotentialSamples, make_two_zone_grid, make_uniform_grid
+from heatline.glsolve import PotentialSamples, construct_potential, make_two_zone_grid, make_uniform_grid
 from heatline.ritz import (
     DegenerateShapeError,
     JacobiConvergenceError,
     RitzReport,
     _ppoly_cos_moments,
+    _round_robin_pairings,
     _trapezoid_cos_moments,
     assemble_ritz_matrix,
     cosine_moments,
@@ -89,6 +90,58 @@ def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
     return np.abs(p_trap - p_line) / np.abs(p_trap)
 
 
+def loop_ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
+    """Panel-end moments that evaluate sin and cos at both ends of every panel: the reference."""
+    x0, x1 = pp.x[:-1], pp.x[1:]
+    h = np.diff(pp.x)
+    c2, c1, c0 = pp.c
+    out = np.empty(kmax + 1)
+    out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
+    for k in range(1, kmax + 1):
+        sin0, sin1 = np.sin(k * x0), np.sin(k * x1)
+        cos0, cos1 = np.cos(k * x0), np.cos(k * x1)
+        C0 = (sin1 - sin0) / k
+        S0 = (cos0 - cos1) / k
+        C1 = (h * sin1 - S0) / k
+        S1 = (-h * cos1 + C0) / k
+        C2 = (h**2 * sin1 - 2.0 * S1) / k
+        out[k] = np.sum(c2 * C2 + c1 * C1 + c0 * C0) / PI
+    return out
+
+
+def reference_jacobi_eigen(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin Jacobi that applies a skipped rotation as the identity over all n/2 pairs.
+
+    Every pairing runs the full array update; pair compression must give
+    the same eigenvalues and eigenvectors bit for bit.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    x = np.hstack([a, np.eye(n)])
+    a = x[:, :n]
+    skip = tol / (n * n)
+    while True:
+        off_diagonal = a - np.diag(np.diag(a))
+        if math.sqrt(np.sum(off_diagonal * off_diagonal)) < tol:
+            order = np.argsort(np.diag(a), kind="stable")
+            vectors = x[order, n:].T
+            lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+            return np.diag(a)[order].copy(), vectors * np.where(lead < 0.0, -1.0, 1.0)
+        for p, q in zip(*_round_robin_pairings(n)):
+            pq, qp = np.concatenate([p, q]), np.concatenate([q, p])
+            apq = a[p, q]
+            rotate = np.abs(apq) >= skip
+            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(rotate, apq, 1.0))
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            c2, s2 = np.concatenate([c, c]), np.concatenate([-s, s])
+            x[pq] = c2[:, None] * x[pq] + s2[:, None] * x[qp]
+            a[:, pq] = a[:, pq] * c2 + a[:, qp] * s2
+            a[p, q] = a[q, p] = np.where(rotate, 0.0, apq)
+
+
 class TestCosineMoments:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_zero_potential(self, rule):
@@ -125,6 +178,14 @@ class TestCosineMoments:
         expected = np.zeros(9)
         expected[3] = 0.5
         assert np.allclose(moments, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("grid", [make_uniform_grid(100), make_uniform_grid(300),
+                                      make_uniform_grid(3000), make_two_zone_grid(50, 75)],
+                             ids=["M100", "M300", "M3000", "two_zone_50_75"])
+    def test_knot_values_match_panel_end_loop(self, grid, spectrum):
+        samples = construct_potential(spectrum, grid)
+        pp = PPoly.from_spline(make_interp_spline(grid.points, samples.values, k=2))
+        assert np.array_equal(cosine_moments(samples, 200), loop_ppoly_cos_moments(pp, 200))
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
@@ -241,6 +302,48 @@ class TestJacobi:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError, match="tol"):
             jacobi_eigen(np.eye(2), tol=0.0)
+
+    @pytest.mark.parametrize("size", [100, 200])
+    def test_pair_compression_is_bit_identical_on_paper_matrix(self, pot300, size):
+        matrix = assemble_ritz_matrix(pot300, size)
+        eigenvalues, vectors = jacobi_eigen(matrix)
+        ref_values, ref_vectors = reference_jacobi_eigen(matrix)
+        assert np.array_equal(eigenvalues, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.sampled_from([1, 2, 3, 7, 10, 11, 40]))
+    @settings(max_examples=15, deadline=None)
+    def test_pair_compression_is_bit_identical_on_random_matrices(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        eigenvalues, vectors = jacobi_eigen(a)
+        ref_values, ref_vectors = reference_jacobi_eigen(a)
+        assert np.array_equal(eigenvalues, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
+
+    @pytest.mark.parametrize("start", [np.eye(3), np.eye(4)[:, :3], np.full((4, 4), 0.5) + np.eye(4),
+                                       np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]), np.full((4, 4), math.nan)],
+                             ids=["3x3", "4x3", "dense", "near_orthogonal", "nan"])
+    def test_rejects_bad_start_basis(self, start):
+        message = "start basis must" + ("" if start.shape == (4, 4) else " have shape")
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigen(np.diag([1.0, 2.0, 3.0, 4.0]), start=start)
+
+    def test_warm_start_from_previous_row_matches_cold(self, spectrum):
+        # Jacobi in floating point has a backward error of order n eps max|P|;
+        # a warm chain compounds one such error per row, so allow 10 of them
+        tol = 10 * 100 * np.finfo(float).eps
+        start = None
+        for m in (100, 150, 200, 250, 300):
+            matrix = assemble_ritz_matrix(construct_potential(spectrum, make_uniform_grid(m)), 100)
+            bound = tol * np.max(np.abs(matrix))
+            warm, start = jacobi_eigen(matrix, start=start)
+            cold, _ = jacobi_eigen(matrix)
+            assert np.max(np.abs(warm - cold)) <= bound
+            # the vectors diagonalize P itself, not the rotated V^T P V
+            assert np.max(np.abs(start @ np.diag(warm) @ start.T - matrix)) <= bound
 
 
 def scored_report(eigenvalues: np.ndarray, spec: TargetSpectrum, count: int) -> RitzReport:
