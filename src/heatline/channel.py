@@ -1,11 +1,13 @@
-"""Separable 3-D heat-channel potential and its eigenmode machinery.
+"""Eigenmodes and heat series of the separable 3-D heat channel.
 
-In cylindrical coordinates (s, rho, theta) the channel potential is
+In cylindrical coordinates (s, rho, theta) the channel is modelled by the
+potential
 
     q(s, rho) = Q(s) + 1/(4 rho^2) + Q(rho),
 
 with the same constructed 1-D potential Q on the axis and in the radius.
-The substitution v = psi / sqrt(rho) turns the radial operator
+This module never evaluates q itself; it computes the modes.  The
+substitution v = psi / sqrt(rho) turns the radial operator
 -v'' - v'/rho + (1/(4 rho^2) + Q) v into the standard Dirichlet problem
 -psi'' + Q psi = mu psi on [0, pi], so radial and axial modes solve the
 identical 1-D problem and the 3-D eigenvalues are the pairwise sums
@@ -27,7 +29,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvio import write_csv
-from .glsolve import PotentialSamples
 from .ritz import RitzReport
 from .spectra import PI
 
@@ -36,22 +37,6 @@ NEAR_AXIS_RADIUS = 1e-8
 
 #: points per axis for the fixed quadrature grids of inner products and norms
 QUADRATURE_POINTS = 2001
-
-
-@dataclass(frozen=True)
-class ChannelPotential:
-    """Evaluates q(s, rho) = Q(s) + 1/(4 rho^2) + Q(rho) from one sampled Q."""
-
-    samples: PotentialSamples
-
-    def evaluate(self, s, rho):
-        s = np.asarray(s, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
-            raise ValueError("the channel potential requires rho > 0")
-        points, values = self.samples.grid.points, self.samples.values
-        out = np.interp(s, points, values) + 0.25 / rho**2 + np.interp(rho, points, values)
-        return float(out) if out.ndim == 0 else out
 
 
 class CombinedLevel(NamedTuple):

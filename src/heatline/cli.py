@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatline",
         description="Construct 1-D potentials with a prescribed Dirichlet spectrum, "
-        "verify them variationally, and assemble the 3-D heat-channel potential.",
+        "verify them variationally, and compute the modes of the 3-D heat channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

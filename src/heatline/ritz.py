@@ -8,11 +8,21 @@ problem -u'' + Q u = nu u becomes P C = nu C with
     qt(k) = (1/pi) int_0^pi Q(x) cos(k x) dx.
 
 Only the cosine moments qt(0 .. 2N) touch the data.  They are evaluated by
-reconstructing the samples with a quadratic spline and integrating
-spline * cos(kx) in closed form per panel.  Plain trapezoid moments lose all
-accuracy at high k on coarse panels (k h per panel exceeds the cosine
-period); the piecewise-line diagnostic at the bottom of this module uses
-them as its reference.
+reconstructing the samples with a quadratic interpolating spline and
+integrating spline * cos(kx) in closed form per panel.  Plain trapezoid
+moments lose all accuracy at high k on coarse panels (k h per panel exceeds
+the cosine period); the piecewise-line diagnostic at the bottom of this
+module uses them as its reference.
+
+The spline is built with numpy alone.  Its knots are the data midpoints
+without the first and last, plus each end point as a triple knot, the usual
+default knots of a quadratic interpolating spline.  Sample x_i then lies
+between the two interior knots around it, where only B_{i-1}, B_i and
+B_{i+1} are nonzero, so the collocation system is tridiagonal.  It is
+solved by elimination without pivoting, which is stable because B-spline
+collocation matrices are totally positive (de Boor and Pinkus, Numer. Math.
+27, 1977).  The B-spline coefficients give each panel's quadratic in closed
+form.
 
 P is diagonalized with a self-contained Jacobi rotation sweep in the
 round-robin ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6(1),
@@ -26,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly, make_interp_spline
 
 from .csvio import write_csv
 from .glsolve import PotentialSamples
@@ -57,18 +66,66 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
-    """Exact integrals (1/pi) int p(x) cos(kx) dx of a piecewise quadratic-or-lower p."""
-    h = np.diff(pp.x)
-    c = pp.c
-    if c.shape[0] < 3:
-        c = np.vstack([np.zeros((3 - c.shape[0], c.shape[1])), c])
-    c2, c1, c0 = c
+def quadratic_spline(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic interpolating spline through (x_i, y_i), n >= 3 increasing points.
+
+    With knots t_0 = t_1 = t_2 = x_0, t_{i+2} = (x_i + x_{i+1}) / 2 for
+    i = 1 .. n - 3 and t_n = t_{n+1} = t_{n+2} = x_{n-1}, the spline is
+    sum_j a_j B_j over n quadratic B-splines, and a_0 = y_0, a_{n-1} = y_{n-1}.
+    Interior row i of the collocation system holds B_{i-1}, B_i, B_{i+1} at
+    x_i, which lies in the knot interval [t_{i+1}, t_{i+2}].
+
+    Returns the breakpoints t_2 .. t_n and the (3, n - 2) coefficients
+    (c2, c1, c0) with s(x) = c2 u^2 + c1 u + c0, u = x - t_j, on the panel
+    [t_j, t_{j+1}].
+    """
+    n = len(x)
+    t = np.concatenate([np.full(3, x[0]), 0.5 * (x[2:-1] + x[1:-2]), np.full(3, x[-1])])
+    i = np.arange(1, n - 1)
+    h = t[i + 2] - t[i + 1]
+    # B_{i-1}(x_i) and B_{i+1}(x_i); B_i(x_i) is the rest of the partition of unity
+    lower = (t[i + 2] - x[i]) ** 2 / ((t[i + 2] - t[i]) * h)
+    upper = (x[i] - t[i + 1]) ** 2 / ((t[i + 3] - t[i + 1]) * h)
+    diag = 1.0 - lower - upper
+    rhs = y[1:-1].copy()
+    rhs[0] -= lower[0] * y[0]
+    rhs[-1] -= upper[-1] * y[-1]
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    # elimination without pivoting, then back substitution in place: rhs
+    # becomes the interior coefficients a_1 .. a_{n-2}
+    for k in range(1, n - 2):
+        w = lower[k] / diag[k - 1]
+        diag[k] -= w * upper[k - 1]
+        rhs[k] -= w * rhs[k - 1]
+    rhs[-1] /= diag[-1]
+    for k in range(n - 4, -1, -1):
+        rhs[k] = (rhs[k] - upper[k] * rhs[k + 1]) / diag[k]
+    a = np.array([y[0], *rhs, y[-1]])
+    # on the panel [t_j, t_{j+1}], j = 2 .. n - 1, s = sum of a_m B_m over
+    # m = j - 2 .. j, so s'(t_j) = 2 (a_{j-1} - a_{j-2}) / (t_{j+1} - t_{j-1}),
+    # likewise s'(t_{j+1}) with j + 1, and s(t_j) = a_{j-1} - s'(t_j) width / 2
+    j = np.arange(2, n)
+    width = t[j + 1] - t[j]
+    slope0 = 2.0 * (a[j - 1] - a[j - 2]) / (t[j + 1] - t[j - 1])
+    slope1 = 2.0 * (a[j] - a[j - 1]) / (t[j + 2] - t[j])
+    coefficients = np.vstack([(slope1 - slope0) / (2.0 * width), slope0, a[j - 1] - 0.5 * slope0 * width])
+    return t[2 : n + 1], coefficients
+
+
+def _ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
+    """Exact integrals (1/pi) int p(x) cos(kx) dx of a piecewise quadratic p.
+
+    Panel i is [breakpoints[i], breakpoints[i + 1]], on which
+    p = c2 u^2 + c1 u + c0 with u the offset from the panel start and
+    (c2, c1, c0) = coefficients[:, i].
+    """
+    h = np.diff(breakpoints)
+    c2, c1, c0 = coefficients
     out = np.empty(kmax + 1)
     out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
     for k in range(1, kmax + 1):
         # sin and cos once per knot; panel ends are slices of the knot values
-        sin_k, cos_k = np.sin(k * pp.x), np.cos(k * pp.x)
+        sin_k, cos_k = np.sin(k * breakpoints), np.cos(k * breakpoints)
         sin0, sin1 = sin_k[:-1], sin_k[1:]
         cos0, cos1 = cos_k[:-1], cos_k[1:]
         # C_m = int_0^h u^m cos(k x_i + k u) du on panel [x_i, x_i + h], S_m the sine analogue
@@ -95,8 +152,7 @@ def cosine_moments(samples: PotentialSamples, kmax: int) -> np.ndarray:
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    spline = make_interp_spline(samples.grid.points, samples.values, k=2)
-    return _ppoly_cos_moments(PPoly.from_spline(spline), kmax)
+    return _ppoly_cos_moments(*quadratic_spline(samples.grid.points, samples.values), kmax)
 
 
 def _ritz_from_moments(qt: np.ndarray, size: int) -> np.ndarray:
@@ -346,9 +402,9 @@ def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> Linear
     knots, ends = x[[i_max, i_min, -1]], q[[i_max, i_min, -1]]
     widths = np.diff(knots)
     slopes = np.divide(np.diff(ends), widths, out=np.zeros(2), where=widths > 0.0)
-    chords = PPoly(np.vstack([slopes, ends[:-1]]), knots)
+    chords = np.vstack([np.zeros(2), slopes, ends[:-1]])
     qt_line = _trapezoid_cos_moments(x[: i_max + 1], q[: i_max + 1], kmax)
-    qt_line += _ppoly_cos_moments(chords, kmax)
+    qt_line += _ppoly_cos_moments(knots, chords, kmax)
     p_trap = _ritz_from_moments(_trapezoid_cos_moments(x, q, kmax), size)
     p_line = _ritz_from_moments(qt_line, size)
     entrywise = np.abs(p_trap - p_line) / np.abs(p_trap)

@@ -3,8 +3,10 @@
 Each oracle solves the same problem as a library routine through a different
 route: the integral equation by dense quadrature instead of the finite-rank
 reduction, the sampled eigenproblem by finite differences instead of the
-sine-basis Galerkin matrix, and small symmetric eigenproblems by inertia
-bisection instead of Jacobi rotations.
+sine-basis Galerkin matrix, small symmetric eigenproblems by inertia
+bisection instead of Jacobi rotations, and the quadratic spline of the
+cosine moments by scipy's general B-spline interpolation instead of the
+tridiagonal solve in `ritz`.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.interpolate import PPoly, make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
 from heatline.glsolve import Grid, PotentialSamples
-from heatline.ritz import trapezoid_weights
+from heatline.ritz import _ppoly_cos_moments, trapezoid_weights
 from heatline.spectra import KernelTermList, eval_L
 
 PI = math.pi
@@ -99,3 +102,20 @@ def bisection_eigenvalues(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
                 a = mid
         eigenvalues[k - 1] = 0.5 * (a + b)
     return eigenvalues
+
+
+def scipy_quadratic_spline(x: np.ndarray, y: np.ndarray) -> PPoly:
+    """scipy's quadratic interpolating spline through (x_i, y_i) as a piecewise polynomial.
+
+    scipy picks the same knots as `ritz.quadratic_spline`, solves the banded
+    collocation system by LU with partial pivoting and converts by evaluating
+    derivatives at the knots.  Its breakpoints repeat each end knot three
+    times, which adds zero-width panels.
+    """
+    return PPoly.from_spline(make_interp_spline(x, y, k=2))
+
+
+def scipy_cosine_moments(samples: PotentialSamples, kmax: int) -> np.ndarray:
+    """Moments qt(0 .. kmax) of scipy's quadratic spline through the samples."""
+    spline = scipy_quadratic_spline(samples.grid.points, samples.values)
+    return _ppoly_cos_moments(spline.x, spline.c, kmax)

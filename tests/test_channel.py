@@ -7,22 +7,15 @@ from hypothesis import strategies as st
 
 from heatline.channel import (
     NEAR_AXIS_RADIUS,
-    ChannelPotential,
     ModeSet,
     combine_spectra,
     concentration_metric,
     first_mode,
     heat_series,
 )
-from heatline.glsolve import PotentialSamples, make_uniform_grid
 from heatline.ritz import verify_potential
 
 PI = math.pi
-
-
-def zero_potential(intervals: int = 20) -> PotentialSamples:
-    grid = make_uniform_grid(intervals)
-    return PotentialSamples(grid=grid, values=np.zeros(len(grid)))
 
 
 def synthetic_modes(coeffs: np.ndarray) -> ModeSet:
@@ -45,36 +38,6 @@ def reference_field(series, s, rho, t):
         psi = scale * np.tensordot(coeffs[:, level.radial_index - 1], np.sin(np.multiply.outer(n, rho)), 1)
         u += math.exp(-level.value * t) * a * w * psi / np.sqrt(rho)
     return u
-
-
-class TestChannelPotential:
-    def test_zero_potential_is_pure_centrifugal(self):
-        channel = ChannelPotential(zero_potential())
-        for rho in (0.3, 1.0, 2.5):
-            assert channel.evaluate(1.0, rho) == pytest.approx(0.25 / rho**2)
-
-    def test_separability(self, pot300):
-        channel = ChannelPotential(pot300)
-        q = lambda s, rho: channel.evaluate(s, rho)
-        for rho in (0.4, 1.7):
-            lhs = q(1.0, rho) - q(2.0, rho)
-            expected = np.interp(1.0, pot300.grid.points, pot300.values) - np.interp(
-                2.0, pot300.grid.points, pot300.values
-            )
-            assert lhs == pytest.approx(expected, abs=1e-12)
-
-    def test_assembly_arithmetic(self, pot300):
-        # grid contains pi/2 (index 150), so interpolation is exact there
-        channel = ChannelPotential(pot300)
-        q_half = pot300.values[150]
-        assert channel.evaluate(PI / 2, PI / 2) == pytest.approx(2.0 * q_half + 1.0 / PI**2)
-
-    def test_rejects_nonpositive_radius(self, pot300):
-        channel = ChannelPotential(pot300)
-        with pytest.raises(ValueError):
-            channel.evaluate(1.0, 0.0)
-        with pytest.raises(ValueError):
-            channel.evaluate(1.0, -0.5)
 
 
 class TestCombineSpectra:

@@ -1,17 +1,24 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heatline import ritz
 from heatline.channel import ModeSet, heat_series
 from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, TABLE_ROWS, RunConfig, main
 from heatline.glsolve import PotentialSamples, construct_potential, make_uniform_grid
 from heatline.ritz import verify_potential
 from heatline.spectra import default_target_spectrum
 
+from oracles import scipy_cosine_moments
+
 PI = math.pi
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_rows(path):
@@ -336,3 +343,59 @@ class TestTableCommand:
         # the first row starts cold; the others start from the row before
         assert deltas[0] == cold[0]
         assert np.allclose(deltas, cold, rtol=1e-8, atol=0.0)
+
+
+def test_runtime_imports_no_scipy():
+    # the package and its CLI need numpy only; scipy serves the tests and
+    # the benchmark as an oracle
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatline, heatline.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+class TestOutputsAgainstScipySpline:
+    """Default outputs against those of the same commands with scipy's spline for the moments.
+
+    The moments move by rounding only (7e-16 of max |qt|).  potential.csv and
+    linearized_error.csv do not read the spline, so they stay byte-identical;
+    every verified eigenvalue stays within 1e-12 max(1, |nu|) and every table
+    delta within 1e-8 relative.
+    """
+
+    COMMANDS = (["construct"], ["verify", "--compare-j", "100"], ["table", "uniform"],
+                ["table", "two_zone"], ["diagnose-linearized"])
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        runs = {}
+        for spline in ("numpy", "scipy"):
+            out = tmp_path_factory.mktemp(spline)
+            with pytest.MonkeyPatch.context() as patch:
+                if spline == "scipy":
+                    patch.setattr(ritz, "cosine_moments", scipy_cosine_moments)
+                for argv in self.COMMANDS:
+                    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            runs[spline] = out
+        return runs["numpy"], runs["scipy"]
+
+    @pytest.mark.parametrize("name", ["potential.csv", "linearized_error.csv"])
+    def test_spline_free_outputs_are_byte_identical(self, outputs, name):
+        ours, reference = outputs
+        assert (ours / name).read_bytes() == (reference / name).read_bytes()
+
+    def test_eigenvalues_within_rounding(self, outputs):
+        (header, ours), (_, reference) = (read_rows(out / "report.csv") for out in outputs)
+        column = header.index("nu_computed")
+        nu = np.array([float(row[column]) for row in ours[:-1]])
+        nu_ref = np.array([float(row[column]) for row in reference[:-1]])
+        assert len(nu) == 100
+        assert np.all(np.abs(nu - nu_ref) <= 1e-12 * np.maximum(1.0, np.abs(nu_ref)))
+
+    @pytest.mark.parametrize("which", ["uniform", "two_zone"])
+    def test_table_deltas_within_rounding(self, outputs, which):
+        (header, ours), (_, reference) = (read_rows(out / f"table_{which}.csv") for out in outputs)
+        column = header.index("delta")
+        deltas = [float(row[column]) for row in ours]
+        assert np.allclose(deltas, [float(row[column]) for row in reference], rtol=1e-8, atol=0.0)

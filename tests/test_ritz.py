@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PPoly, make_interp_spline
 
-from heatline.glsolve import PotentialSamples, construct_potential, make_two_zone_grid, make_uniform_grid
+from heatline.glsolve import Grid, PotentialSamples, construct_potential, make_two_zone_grid, make_uniform_grid
 from heatline.ritz import (
     DegenerateShapeError,
     JacobiConvergenceError,
@@ -20,21 +19,24 @@ from heatline.ritz import (
     cosine_moments,
     jacobi_eigen,
     linearized_qtilde_diagnostic,
+    quadratic_spline,
     relative_error,
     trapezoid_weights,
     verify_potential,
 )
 from heatline.spectra import TargetSpectrum, default_target_spectrum
 
-from oracles import bisection_eigenvalues, fd_eigenvalues
+from oracles import bisection_eigenvalues, fd_eigenvalues, scipy_cosine_moments, scipy_quadratic_spline
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 def linear_moments(samples: PotentialSamples, kmax: int) -> np.ndarray:
     """Exact moments of the piecewise-linear interpolant, the chord path of the line diagnostic."""
     x, q = samples.grid.points, samples.values
-    return _ppoly_cos_moments(PPoly(np.vstack([np.diff(q) / np.diff(x), q[:-1]]), x), kmax)
+    slopes = np.diff(q) / np.diff(x)
+    return _ppoly_cos_moments(x, np.vstack([np.zeros_like(slopes), slopes, q[:-1]]), kmax)
 
 
 # every moment path in ritz: the panel rule, piecewise-linear and quadratic-spline moments
@@ -57,7 +59,7 @@ def constant_samples(value: float, intervals: int = 40) -> PotentialSamples:
 def chord_moments(x_lo: float, x_hi: float, y_lo: float, y_hi: float, kmax: int) -> np.ndarray:
     """int of the chord through (x_lo, y_lo), (x_hi, y_hi) times cos(kx), k = 0 .. kmax."""
     slope = (y_hi - y_lo) / (x_hi - x_lo)
-    return PI * _ppoly_cos_moments(PPoly(np.array([[slope], [y_lo]]), [x_lo, x_hi]), kmax)
+    return PI * _ppoly_cos_moments(np.array([x_lo, x_hi]), np.array([[0.0], [slope], [y_lo]]), kmax)
 
 
 def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
@@ -90,11 +92,11 @@ def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
     return np.abs(p_trap - p_line) / np.abs(p_trap)
 
 
-def loop_ppoly_cos_moments(pp: PPoly, kmax: int) -> np.ndarray:
+def loop_ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
     """Panel-end moments that evaluate sin and cos at both ends of every panel: the reference."""
-    x0, x1 = pp.x[:-1], pp.x[1:]
-    h = np.diff(pp.x)
-    c2, c1, c0 = pp.c
+    x0, x1 = breakpoints[:-1], breakpoints[1:]
+    h = np.diff(breakpoints)
+    c2, c1, c0 = coefficients
     out = np.empty(kmax + 1)
     out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
     for k in range(1, kmax + 1):
@@ -184,12 +186,54 @@ class TestCosineMoments:
                              ids=["M100", "M300", "M3000", "two_zone_50_75"])
     def test_knot_values_match_panel_end_loop(self, grid, spectrum):
         samples = construct_potential(spectrum, grid)
-        pp = PPoly.from_spline(make_interp_spline(grid.points, samples.values, k=2))
-        assert np.array_equal(cosine_moments(samples, 200), loop_ppoly_cos_moments(pp, 200))
+        moments = cosine_moments(samples, 200)
+        spline = quadratic_spline(grid.points, samples.values)
+        assert np.array_equal(moments, loop_ppoly_cos_moments(*spline, 200))
+        # scipy's spline differs by rounding in its pivoted solve and its
+        # conversion: 3.6e-16 of max |qt| on these grids
+        reference = scipy_cosine_moments(samples, 200)
+        assert np.max(np.abs(moments - reference)) <= 16 * EPS * np.max(np.abs(reference))
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
             cosine_moments(constant_samples(1.0), -1)
+
+
+@st.composite
+def spline_grids(draw) -> Grid:
+    """Uniform grids (M >= 2) and two-zone grids with random zone sizes and split."""
+    if draw(st.booleans()):
+        return make_uniform_grid(draw(st.integers(2, 400)))
+    sizes = st.integers(1, 300)
+    return make_two_zone_grid(draw(sizes), draw(sizes), PI * draw(st.floats(0.01, 0.99)))
+
+
+def evaluate_spline(breakpoints: np.ndarray, coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
+    panel = np.clip(np.searchsorted(breakpoints, z, side="right") - 1, 0, len(breakpoints) - 2)
+    u = z - breakpoints[panel]
+    c2, c1, c0 = coefficients[:, panel]
+    return (c2 * u + c1) * u + c0
+
+
+class TestQuadraticSpline:
+    @given(grid=spline_grids(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_interpolates_and_matches_scipy(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        x = grid.points
+        y = rng.normal(size=len(x))
+        breakpoints, coefficients = quadratic_spline(x, y)
+        reference = scipy_quadratic_spline(x, y)
+        assert np.array_equal(breakpoints, np.unique(reference.x))
+        size = np.max(np.abs(reference(np.linspace(0.0, PI, 20001))))
+        # 5 eps of the spline's size at worst over 3,000 random grids and data
+        assert np.max(np.abs(evaluate_spline(breakpoints, coefficients, x) - y)) <= 32 * EPS * size
+        # the two splines drift apart in proportion to the ratio of largest to
+        # smallest spacing (up to 3e4 here): 12 eps times it at worst
+        ratio = np.max(np.diff(x)) / np.min(np.diff(x))
+        z = rng.uniform(0.0, PI, 200)
+        difference = np.max(np.abs(evaluate_spline(breakpoints, coefficients, z) - reference(z)))
+        assert difference <= 64 * EPS * ratio * size
 
 
 class TestRitzMatrix:
