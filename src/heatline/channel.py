@@ -38,6 +38,12 @@ NEAR_AXIS_RADIUS = 1e-8
 #: points per axis for the fixed quadrature grids of inner products and norms
 QUADRATURE_POINTS = 2001
 
+#: radius of the core whose share of the first mode's energy is reported
+CORE_RADIUS = PI / 2.0
+
+#: times at which heat.csv samples the field
+HEAT_CSV_TIMES = (0.0, 0.5, 1.0, 2.0)
+
 
 class CombinedLevel(NamedTuple):
     """One 3-D eigenvalue lambda = mu_m + nu_l with its 1-based index pair."""
@@ -135,16 +141,14 @@ def first_mode(modes: ModeSet, s, rho):
     return out
 
 
-def concentration_metric(modes: ModeSet, split: float = PI / 2.0) -> float:
-    """Fraction of the first radial mode's cylindrical energy inside rho < split.
+def concentration_metric(modes: ModeSet) -> float:
+    """Fraction of the first radial mode's cylindrical energy inside rho < CORE_RADIUS.
 
-    Computes int_0^split |v_1|^2 rho d rho / int_0^pi |v_1|^2 rho d rho by
-    trapezoid quadrature; the integrand |v_1|^2 rho equals |psi_1|^2.
+    Computes int_0^CORE_RADIUS |v_1|^2 rho d rho / int_0^pi |v_1|^2 rho d rho
+    by trapezoid quadrature; the integrand |v_1|^2 rho equals |psi_1|^2.
     """
-    if not 0.0 < split < PI:
-        raise ValueError("split radius must lie inside (0, pi)")
-    core = np.linspace(0.0, split, QUADRATURE_POINTS)
-    outer = np.linspace(split, PI, QUADRATURE_POINTS)
+    core = np.linspace(0.0, CORE_RADIUS, QUADRATURE_POINTS)
+    outer = np.linspace(CORE_RADIUS, PI, QUADRATURE_POINTS)
     psi_core, psi_outer = modes._series(1, np.stack([core, outer]))
     inside = np.trapezoid(psi_core**2, core)
     total = inside + np.trapezoid(psi_outer**2, outer)
@@ -237,7 +241,7 @@ def write_first_mode_csv(modes: ModeSet, path) -> None:
     write_csv(path, ["s", "rho", "phi_1"], np.column_stack([s, rho, first_mode(modes, s, rho)]))
 
 
-def write_heat_csv(series: HeatSeries, path, times: Sequence[float]) -> None:
+def write_heat_csv(series: HeatSeries, path) -> None:
     s, rho = _csv_points(21)
-    blocks = [np.column_stack([s, rho, np.full_like(s, t), series.evaluate(s, rho, t)]) for t in times]
+    blocks = [np.column_stack([s, rho, np.full_like(s, t), series.evaluate(s, rho, t)]) for t in HEAT_CSV_TIMES]
     write_csv(path, ["s", "rho", "t", "u"], np.concatenate(blocks))

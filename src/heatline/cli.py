@@ -30,7 +30,6 @@ from .glsolve import (
 from .ritz import (
     DEFAULT_BASIS_SIZE,
     DEFAULT_COMPARE_COUNT,
-    DEFAULT_JACOBI_TOL,
     DegenerateShapeError,
     JacobiConvergenceError,
     RitzReport,
@@ -38,7 +37,6 @@ from .ritz import (
     verify_potential,
 )
 from .spectra import (
-    PI,
     TargetSpectrum,
     check_type,
     default_target_spectrum,
@@ -82,10 +80,8 @@ class RunConfig:
     grid_m: int | None = None
     grid_m1: int | None = None
     grid_m2: int | None = None
-    grid_split: float = 0.9 * PI
     ritz_n: int = DEFAULT_BASIS_SIZE
     compare_j: int = DEFAULT_COMPARE_COUNT
-    jacobi_tol: float = DEFAULT_JACOBI_TOL
     out_dir: str = "out"
     threshold: float | None = None
 
@@ -113,12 +109,10 @@ class RunConfig:
                                  f"functions for {name} (limit {MAX_RITZ_N})")
         if (verifies and self.ritz_n < self.compare_j) or self.compare_j < 2:
             raise ValueError("require ritz_n >= compare_j >= 2")
-        if self.jacobi_tol <= 0.0:
-            raise ValueError("jacobi tolerance must be positive")
 
     def make_grid(self) -> Grid:
         if self.grid_m1 is not None and self.grid_m2 is not None:
-            return make_two_zone_grid(self.grid_m1, self.grid_m2, self.grid_split)
+            return make_two_zone_grid(self.grid_m1, self.grid_m2)
         return make_uniform_grid(self.grid_m if self.grid_m is not None else 300)
 
     def load_spectrum(self) -> TargetSpectrum:
@@ -127,20 +121,19 @@ class RunConfig:
         return load_target_spectrum(self.spectrum_file)
 
 
-GRID_FLAGS = ("grid_m", "grid_m1", "grid_m2", "grid_split")
-RITZ_FLAGS = ("ritz_n", "compare_j", "jacobi_tol")
+GRID_FLAGS = ("grid_m", "grid_m1", "grid_m2")
+RITZ_FLAGS = ("ritz_n", "compare_j")
 
 
 def _read_flags(args: argparse.Namespace) -> set[str]:
     """Dests of the parsed arguments that the chosen command reads."""
     reused = getattr(args, "potential", None) is not None
     built = () if reused else ("spectrum_file", *GRID_FLAGS)
-    split = ("grid_split",) if getattr(args, "which", None) == "two_zone" else ()
     read = {
         "construct": ("spectrum_file", *GRID_FLAGS),
         "verify": ("spectrum_file", "potential", *RITZ_FLAGS, "threshold"),
-        # the table rows fix their own grid sizes; only the two-zone split is free
-        "table": ("spectrum_file", *RITZ_FLAGS, *split),
+        # the table rows fix their own grids
+        "table": ("spectrum_file", *RITZ_FLAGS),
         "channel": ("spectrum_file", "potential", *built, *RITZ_FLAGS),
         "diagnose-linearized": ("potential", "compare_j", *built),
     }[args.command]
@@ -191,7 +184,6 @@ def _verify(
         spectrum,
         basis_size=config.ritz_n,
         compare_count=config.compare_j,
-        jacobi_tol=config.jacobi_tol,
         start=start,
     )
 
@@ -257,7 +249,7 @@ def cmd_channel(config: RunConfig, potential_path: str | None) -> int:
         radial_profile=lambda rho: np.exp(-2.0 * rho),
         truncation=min(25, len(modes.combined)),
     )
-    channel_mod.write_heat_csv(series, out_dir / "heat.csv", times=(0.0, 0.5, 1.0, 2.0))
+    channel_mod.write_heat_csv(series, out_dir / "heat.csv")
     fraction = channel_mod.concentration_metric(modes)
     lam = modes.combined
     print(f"lambda_1 = {lam[0].value:.6e}, lambda_2 = {lam[1].value:.8f}")
@@ -295,8 +287,15 @@ def cmd_diagnose_linearized(config: RunConfig, potential_path: str | None) -> in
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing usage and exiting; subparsers inherit it."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatline",
         description="Construct 1-D potentials with a prescribed Dirichlet spectrum, "
         "verify them variationally, and compute the modes of the 3-D heat channel.",
@@ -309,13 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-m", dest="grid_m", type=int, help="uniform grid intervals")
         p.add_argument("--grid-m1", dest="grid_m1", type=int, help="left-zone intervals")
         p.add_argument("--grid-m2", dest="grid_m2", type=int, help="right-zone intervals")
-        p.add_argument("--grid-split", dest="grid_split", type=float,
-                       help="two-zone split point (default 9*pi/10)")
         p.add_argument("--ritz-n", dest="ritz_n", type=int, help="sine basis size")
         p.add_argument("--compare-j", dest="compare_j", type=int,
                        help="eigenvalues compared against the target")
-        p.add_argument("--jacobi-tol", dest="jacobi_tol", type=float,
-                       help="off-diagonal Frobenius tolerance")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
         p.add_argument("--threshold", dest="threshold", type=float,
                        help="fail (exit 1) if delta exceeds this value")
@@ -344,21 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _reject_unread_flags(args)
         config = _config_from_args(args)
-        if args.command == "construct":
-            return cmd_construct(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.potential)
-        if args.command == "table":
-            return cmd_table(config, args.which)
-        if args.command == "channel":
-            return cmd_channel(config, args.potential)
-        if args.command == "diagnose-linearized":
-            return cmd_diagnose_linearized(config, args.potential)
-        raise ValueError(f"unknown command {args.command!r}")
+        # looked up at call time, so a wrapped cmd_* is the one that runs
+        commands = {
+            "construct": lambda: cmd_construct(config),
+            "verify": lambda: cmd_verify(config, args.potential),
+            "table": lambda: cmd_table(config, args.which),
+            "channel": lambda: cmd_channel(config, args.potential),
+            "diagnose-linearized": lambda: cmd_diagnose_linearized(config, args.potential),
+        }
+        return commands[args.command]()
     except (
         InputFormatError,
         SingularSystemError,

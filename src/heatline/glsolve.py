@@ -44,6 +44,9 @@ COND_CEILING = 1e10
 
 _ENDPOINT_TOL = 1e-12
 
+#: where a two-zone grid switches from its coarse to its fine zone, as in the paper
+TWO_ZONE_SPLIT = 0.9 * PI
+
 
 class SingularSystemError(Exception):
     """I + G(s) is too ill-conditioned to solve at some s (invalid spectral data)."""
@@ -76,14 +79,12 @@ def make_uniform_grid(intervals: int) -> Grid:
     return Grid(np.linspace(0.0, PI, intervals + 1))
 
 
-def make_two_zone_grid(left_intervals: int, right_intervals: int, split: float = 0.9 * PI) -> Grid:
-    """M1 equal intervals on [0, split] and M2 on [split, pi]; split appears once."""
+def make_two_zone_grid(left_intervals: int, right_intervals: int) -> Grid:
+    """M1 equal intervals left of TWO_ZONE_SPLIT and M2 right of it; the split appears once."""
     if left_intervals < 1 or right_intervals < 1:
         raise ValueError("each zone needs at least 1 interval")
-    if not 0.0 < split < PI:
-        raise ValueError(f"split {split} must lie strictly inside (0, pi)")
-    left = np.linspace(0.0, split, left_intervals + 1)
-    right = np.linspace(split, PI, right_intervals + 1)
+    left = np.linspace(0.0, TWO_ZONE_SPLIT, left_intervals + 1)
+    right = np.linspace(TWO_ZONE_SPLIT, PI, right_intervals + 1)
     return Grid(np.concatenate([left, right[1:]]))
 
 
@@ -152,10 +153,13 @@ def solve_psi_systems(terms: KernelTermList, grid: Grid) -> PsiSolution:
     if r == 0:
         zeros = np.zeros((npts, 0))
         return PsiSolution(grid=grid, psi=zeros, psi_prime=zeros.copy())
-    G = exact_gram(terms, x)
-    a = terms.a_values(x).T[..., None]             # (points, rank, 1)
-    ap = terms.a_prime_values(x).T[..., None]
-    b = terms.b_values(x).T[..., None]
+    # an overflowing kernel weight makes G non-finite; _check_condition names
+    # that failure, so numpy's warnings about it would only repeat it
+    with np.errstate(invalid="ignore", over="ignore"):
+        G = exact_gram(terms, x)
+        a = terms.a_values(x).T[..., None]             # (points, rank, 1)
+        ap = terms.a_prime_values(x).T[..., None]
+        b = terms.b_values(x).T[..., None]
     system = np.eye(r) + G
     _check_condition(system, x)
     psi = np.linalg.solve(system, -G @ a)

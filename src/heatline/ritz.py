@@ -43,7 +43,10 @@ from .spectra import PI, TargetSpectrum
 
 DEFAULT_BASIS_SIZE = 100
 DEFAULT_COMPARE_COUNT = 20
-DEFAULT_JACOBI_TOL = 1e-10
+#: Jacobi stops once the off-diagonal Frobenius norm is below this
+JACOBI_TOL = 1e-10
+#: Jacobi raises JacobiConvergenceError after this many sweeps
+MAX_SWEEPS = 100
 #: largest max |V^T V - I| a Jacobi start basis may have; Jacobi's own
 #: eigenvectors of the paper matrix reach 2.5e-14 at N = 100 and 9.5e-14
 #: at N = 400, warm-started or not
@@ -188,22 +191,17 @@ def _round_robin_pairings(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p[:, m - n:], q[:, m - n:]
 
 
-def jacobi_eigen(
-    matrix: np.ndarray,
-    tol: float = DEFAULT_JACOBI_TOL,
-    max_sweeps: int = 100,
-    start: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigen(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin (Brent-Luk) Jacobi diagonalization of a symmetric matrix.
 
     A sweep runs through the n - 1 (n even) or n (n odd) pairings of
     `_round_robin_pairings`; the rotations of one pairing act on disjoint
     index pairs, so they commute and are applied as one array update.
-    Sweeps run until the off-diagonal Frobenius norm drops below tol.
-    Each pairing is cut down to the pairs whose entry is at least tol / n^2
-    (the threshold strategy of Rutishauser, Numer. Math. 9, 1966), and a
-    pairing with none left is skipped, so an update touches only the rows
-    and columns it rotates.
+    Sweeps run until the off-diagonal Frobenius norm drops below JACOBI_TOL,
+    at most MAX_SWEEPS of them.  Each pairing is cut down to the pairs whose
+    entry is at least JACOBI_TOL / n^2 (the threshold strategy of
+    Rutishauser, Numer. Math. 9, 1966), and a pairing with none left is
+    skipped, so an update touches only the rows and columns it rotates.
 
     An orthogonal (n, n) `start` basis V warm-starts the sweep: Jacobi then
     diagonalizes V^T A V with V^T as the initial vector block, which takes
@@ -213,8 +211,6 @@ def jacobi_eigen(
     accumulated rotations as eigenvector columns, each signed so that its
     largest-magnitude entry is positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
@@ -241,17 +237,17 @@ def jacobi_eigen(
     # serves both; the column update touches the a half only
     x = np.hstack([a, basis_t])
     a = x[:, :n]
-    skip = tol / (n * n)
+    skip = JACOBI_TOL / (n * n)
     pairings = _round_robin_pairings(n)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         off_diagonal = a - np.diag(np.diag(a))
         off = math.sqrt(np.sum(off_diagonal * off_diagonal))
-        if off < tol:
+        if off < JACOBI_TOL:
             order = np.argsort(np.diag(a), kind="stable")
             vectors = x[order, n:].T
             lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
             return np.diag(a)[order].copy(), vectors * np.where(lead < 0.0, -1.0, 1.0)
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             break
         for p, q in zip(*pairings):
             apq = a[p, q]
@@ -272,8 +268,8 @@ def jacobi_eigen(
             a[:, pq] = a[:, pq] * c2 + a[:, qp] * s2
             a[p, q] = a[q, p] = 0.0
     raise JacobiConvergenceError(
-        f"no convergence after {max_sweeps} sweeps: off-diagonal norm {off:.3e} "
-        f"is not below tol {tol:.3e}"
+        f"no convergence after {MAX_SWEEPS} sweeps: off-diagonal norm {off:.3e} "
+        f"is not below tol {JACOBI_TOL:.3e}"
     )
 
 
@@ -332,12 +328,11 @@ class RitzReport:
         rows.append(("delta", "", "", self.delta))
         write_csv(path, ["j", "nu_target", "nu_computed", "rel_error"], rows)
 
-    def eigenvectors_to_csv(self, path, count: int | None = None) -> None:
-        """Rows j, c_1 .. c_N of sine-basis coefficients."""
+    def eigenvectors_to_csv(self, path) -> None:
+        """Rows j = 1 .. compare_count, c_1 .. c_N of sine-basis coefficients."""
         n = self.eigenvectors.shape[0]
-        count = self.compare_count if count is None else count
         header = ["j"] + [f"c_{i}" for i in range(1, n + 1)]
-        rows = [(j + 1, *self.eigenvectors[:, j]) for j in range(count)]
+        rows = [(j + 1, *self.eigenvectors[:, j]) for j in range(self.compare_count)]
         write_csv(path, header, rows)
 
 
@@ -346,7 +341,6 @@ def verify_potential(
     target: TargetSpectrum,
     basis_size: int = DEFAULT_BASIS_SIZE,
     compare_count: int = DEFAULT_COMPARE_COUNT,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
     start: np.ndarray | None = None,
 ) -> RitzReport:
     """Assemble P, diagonalize, and score the result against the target.
@@ -357,7 +351,7 @@ def verify_potential(
     if basis_size < compare_count:
         raise ValueError("basis_size must be >= compare_count")
     matrix = assemble_ritz_matrix(samples, basis_size)
-    eigenvalues, eigenvectors = jacobi_eigen(matrix, tol=jacobi_tol, start=start)
+    eigenvalues, eigenvectors = jacobi_eigen(matrix, start=start)
     return RitzReport(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,

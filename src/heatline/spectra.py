@@ -215,9 +215,6 @@ def build_kernel_terms(spectrum: TargetSpectrum) -> KernelTermList:
     a(x) = -(2/pi) sin(j x), b(y) = sin(j y).  Rank = 2 * len(perturbed).
     """
     levels = spectrum.perturbed
-    for level in levels:
-        if level.nu < 0.0:
-            raise ValueError(f"eigenvalue nu_{level.index} = {level.nu} is negative")
     return KernelTermList(
         weights=[1.0 / lv.alpha for lv in levels] + [-1.0 / FREE_NORMALIZER] * len(levels),
         frequencies=[math.sqrt(lv.nu) for lv in levels] + [float(lv.index) for lv in levels],

@@ -175,12 +175,6 @@ class TestConcentration:
     def test_constructed_mode_concentrates_in_core(self, modes300):
         assert concentration_metric(modes300) > 0.5
 
-    def test_rejects_bad_split(self, modes300):
-        with pytest.raises(ValueError):
-            concentration_metric(modes300, split=0.0)
-        with pytest.raises(ValueError):
-            concentration_metric(modes300, split=PI)
-
 
 class TestHeatSeries:
     def test_first_mode_initial_data_is_invariant(self, modes300):

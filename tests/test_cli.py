@@ -123,17 +123,44 @@ class TestInputContract:
         (["diagnose-linearized", "--threshold", "1e-12", "--ritz-n", "30"],
          "diagnose-linearized", "--ritz-n, --threshold"),
         (["table", "uniform", "--grid-m", "50", "--threshold", "1e-12"], "table uniform", "--grid-m, --threshold"),
-        (["table", "uniform", "--grid-split", "2.5"], "table uniform", "--grid-split"),
+        (["table", "two_zone", "--grid-m", "50"], "table two_zone", "--grid-m"),
         (["verify", "--grid-m1", "50", "--grid-m2", "75"], "verify", "--grid-m1, --grid-m2"),
         (["channel", "--potential", "q.csv", "--grid-m", "60", "--threshold", "0.1"],
          "channel with --potential", "--grid-m, --threshold"),
-        (["diagnose-linearized", "--potential", "q.csv", "--grid-split", "2.5", "--spectrum-file", "s.json"],
-         "diagnose-linearized with --potential", "--spectrum-file, --grid-split"),
+        (["diagnose-linearized", "--potential", "q.csv", "--grid-m1", "50", "--spectrum-file", "s.json"],
+         "diagnose-linearized with --potential", "--spectrum-file, --grid-m1"),
     ])
     def test_unread_flag_is_rejected(self, tmp_path, capsys, argv, command, flags):
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
         assert assert_one_error_line(capsys) == f"error: heatline {command} does not read {flags}"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, words", [
+        (["construct", "--grid-m", "abc"], "heatline construct: argument --grid-m: invalid int value: 'abc'"),
+        (["construct", "--foo", "1"], "unrecognized arguments: --foo 1"),
+        (["table"], "heatline table: the following arguments are required: which"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        # flags that were removed
+        (["verify", "--jacobi-tol", "1e-8"], "unrecognized arguments: --jacobi-tol 1e-8"),
+        (["table", "two_zone", "--grid-split", "2.5"], "unrecognized arguments: --grid-split 2.5"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, words):
+        assert main(argv) == EXIT_INPUT
+        assert words in assert_one_error_line(capsys)
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["table", "-h"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heatline table")
+
+    @pytest.mark.parametrize("key, value", [("jacobi_tol", 1e-8), ("grid_split", 2.5)])
+    def test_removed_config_key_is_refused(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value, "out_dir": str(tmp_path)}))
+        assert main(["construct", "--config", str(config)]) == EXIT_INPUT
+        assert assert_one_error_line(capsys) == f"error: unknown config keys: ['{key}']"
+        assert not (tmp_path / "potential.csv").exists()
 
     def test_config_keys_are_shared_across_commands(self, tmp_path):
         # a config file may carry keys that only some commands read

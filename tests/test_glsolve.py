@@ -77,8 +77,8 @@ class TestGrids:
             make_uniform_grid(1)
 
     def test_two_zone_minimal(self):
-        grid = make_two_zone_grid(1, 1, PI / 2)
-        assert np.allclose(grid.points, [0.0, PI / 2, PI])
+        grid = make_two_zone_grid(1, 1)
+        assert np.allclose(grid.points, [0.0, 0.9 * PI, PI])
 
     @pytest.mark.parametrize("m2, expected", [(75, 126), (100, 151)])
     def test_two_zone_point_counts(self, m2, expected):
@@ -86,12 +86,6 @@ class TestGrids:
         assert len(grid) == expected
         # the split point appears exactly once
         assert np.count_nonzero(np.isclose(grid.points, 0.9 * PI)) == 1
-
-    def test_two_zone_rejects_bad_split(self):
-        with pytest.raises(ValueError):
-            make_two_zone_grid(10, 10, PI)
-        with pytest.raises(ValueError):
-            make_two_zone_grid(10, 10, -0.1)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -122,12 +122,6 @@ class TestKernelTerms:
         assert terms.rank == 0
         assert eval_L(terms, 1.0, 2.0) == 0.0
 
-    def test_negative_nu_guard(self):
-        bad = object.__new__(TargetSpectrum)
-        object.__setattr__(bad, "perturbed", (PerturbedLevel(1, -2.0, 1.0),))
-        with pytest.raises(ValueError, match="negative"):
-            build_kernel_terms(bad)
-
 
 class TestEvalL:
     def test_vanishes_on_axes(self, terms):
