@@ -17,7 +17,8 @@ rate exp(-11 t) and that mode stays concentrated near the axis.
 
 Modes are synthesized from the verifier's sine-basis coefficient vectors:
 w(s) = sum_n c_n sqrt(2/pi) sin(n s) and v(rho) = psi(rho) / sqrt(rho),
-where psi is the same sine series as w.
+where psi is the same sine series as w, each summed once per distinct
+coordinate.  The first mode's core share integrates that series exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .spectra import PI
 #: below this radius v = psi / sqrt(rho) switches to its series slope limit
 NEAR_AXIS_RADIUS = 1e-8
 
-#: points per axis for the fixed quadrature grids of inner products and norms
+#: points of the trapezoid grid on [0, pi] for heat_series' inner products
 QUADRATURE_POINTS = 2001
 
 #: radius of the core whose share of the first mode's energy is reported
@@ -118,7 +119,8 @@ class ModeSet:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.all((s >= 0.0) & (s <= PI)):
             raise ValueError("axial coordinate must lie in [0, pi]")
-        return self._series(l, s)
+        distinct, inverse = np.unique(s, return_inverse=True)
+        return self._series(l, distinct)[..., inverse.ravel()].reshape(np.shape(l) + s.shape)
 
     def radial_mode(self, m, rho) -> np.ndarray:
         """v_m(rho) = psi_m(rho) / sqrt(rho), finite through rho -> 0; shapes as axial_mode."""
@@ -126,11 +128,12 @@ class ModeSet:
         if not np.all((rho > 0.0) & (rho <= PI)):
             raise ValueError("radius must lie in (0, pi]")
         m = np.asarray(m)
-        psi = self._series(m, rho)
+        distinct, inverse = np.unique(rho, return_inverse=True)
+        psi = self._series(m, distinct)
         n = np.arange(1, self.coefficients.shape[0] + 1)
-        slope = math.sqrt(2.0 / PI) * (n @ self.coefficients[:, m - 1])
-        slope = np.reshape(slope, m.shape + (1,) * rho.ndim)
-        return np.where(rho < NEAR_AXIS_RADIUS, np.sqrt(rho) * slope, psi / np.sqrt(rho))
+        slope = math.sqrt(2.0 / PI) * np.reshape((n @ self.coefficients)[m - 1], m.shape + (1,))
+        v = np.where(distinct < NEAR_AXIS_RADIUS, np.sqrt(distinct) * slope, psi / np.sqrt(distinct))
+        return v[..., inverse.ravel()].reshape(m.shape + rho.shape)
 
 
 def first_mode(modes: ModeSet, s, rho):
@@ -144,15 +147,20 @@ def first_mode(modes: ModeSet, s, rho):
 def concentration_metric(modes: ModeSet) -> float:
     """Fraction of the first radial mode's cylindrical energy inside rho < CORE_RADIUS.
 
-    Computes int_0^CORE_RADIUS |v_1|^2 rho d rho / int_0^pi |v_1|^2 rho d rho
-    by trapezoid quadrature; the integrand |v_1|^2 rho equals |psi_1|^2.
+    |v_1|^2 rho = |psi_1|^2, so with c the sine coefficients of psi_1 the
+    fraction is exactly c^T M c / c^T c, where R = CORE_RADIUS and
+    M_nm = (2/pi) int_0^R sin(n x) sin(m x) dx = (R/pi) [sinc((n-m) R/pi) - sinc((n+m) R/pi)].
     """
-    core = np.linspace(0.0, CORE_RADIUS, QUADRATURE_POINTS)
-    outer = np.linspace(CORE_RADIUS, PI, QUADRATURE_POINTS)
-    psi_core, psi_outer = modes._series(1, np.stack([core, outer]))
-    inside = np.trapezoid(psi_core**2, core)
-    total = inside + np.trapezoid(psi_outer**2, outer)
-    return float(inside / total)
+    c = modes.coefficients[:, 0]
+    n = np.arange(1, len(c) + 1)
+    scaled = CORE_RADIUS / PI
+    core = scaled * (np.sinc(np.subtract.outer(n, n) * scaled) - np.sinc(np.add.outer(n, n) * scaled))
+    return float(c @ core @ c / (c @ c))
+
+
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -170,13 +178,12 @@ class HeatSeries:
 
     def evaluate(self, s, rho, t: float):
         """Field sample u(s, rho, t); s and rho broadcast elementwise."""
-        if t < 0.0:
-            raise ValueError("time must be >= 0")
+        _check_time(t)
         s_arr, rho_arr = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(rho, dtype=float)
         )
         lam, m, l = _level_arrays(self.levels)
-        # one mode family at a time, so one sine table is alive at once
+        # each mode family is synthesized once per distinct s or rho, then gathered
         w = self.modes.axial_mode(l, s_arr.ravel())
         v = self.modes.radial_mode(m, rho_arr.ravel())
         out = (np.exp(-lam * t) * self.coefficients) @ (v * w)
@@ -190,6 +197,7 @@ class HeatSeries:
 
     def residual_after_first(self, t: float) -> float:
         """Norm of u(t) - (f, phi_1) phi_1 over the truncated expansion."""
+        _check_time(t)
         lam = _level_arrays(self.levels)[0][1:]
         return float(np.sqrt(np.sum(np.exp(-2.0 * lam * t) * self.coefficients[1:] ** 2)))
 

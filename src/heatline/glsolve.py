@@ -63,8 +63,8 @@ class Grid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 3:
             raise ValueError("grid needs at least 3 points")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
+        if not np.all(np.diff(pts) > 0.0):
+            raise ValueError("grid points must be finite and strictly increasing")
         if abs(pts[0]) > _ENDPOINT_TOL or abs(pts[-1] - PI) > _ENDPOINT_TOL:
             raise ValueError("grid must span [0, pi]")
 

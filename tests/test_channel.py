@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatline.channel import (
+    CORE_RADIUS,
     NEAR_AXIS_RADIUS,
     ModeSet,
     combine_spectra,
@@ -13,6 +17,7 @@ from heatline.channel import (
     first_mode,
     heat_series,
 )
+from heatline.cli import EXIT_OK, main
 from heatline.ritz import verify_potential
 
 PI = math.pi
@@ -38,6 +43,35 @@ def reference_field(series, s, rho, t):
         psi = scale * np.tensordot(coeffs[:, level.radial_index - 1], np.sin(np.multiply.outer(n, rho)), 1)
         u += math.exp(-level.value * t) * a * w * psi / np.sqrt(rho)
     return u
+
+
+def per_point_series(modes, index, x):
+    """Each indexed mode's sine series summed at every entry of x, repeats included."""
+    index = np.asarray(index)
+    coeffs = modes.coefficients[:, index - 1]
+    n = np.arange(1, len(coeffs) + 1)
+    table = math.sqrt(2.0 / PI) * np.sin(np.outer(n, x.ravel()))
+    return (coeffs.T @ table).reshape(index.shape + x.shape)
+
+
+def per_point_axial(modes, l, s):
+    """w_l(s), synthesized point by point; stands in for ModeSet.axial_mode."""
+    return per_point_series(modes, l, np.atleast_1d(np.asarray(s, dtype=float)))
+
+
+def per_point_radial(modes, m, rho):
+    """v_m(rho) with its near-axis slope limit, point by point; stands in for ModeSet.radial_mode."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    m = np.asarray(m)
+    psi = per_point_series(modes, m, rho)
+    n = np.arange(1, modes.coefficients.shape[0] + 1)
+    slope = np.reshape(math.sqrt(2.0 / PI) * (n @ modes.coefficients)[m - 1], m.shape + (1,) * rho.ndim)
+    return np.where(rho < NEAR_AXIS_RADIUS, np.sqrt(rho) * slope, psi / np.sqrt(rho))
+
+
+def use_per_point_synthesis(monkeypatch):
+    monkeypatch.setattr(ModeSet, "axial_mode", per_point_axial)
+    monkeypatch.setattr(ModeSet, "radial_mode", per_point_radial)
 
 
 class TestCombineSpectra:
@@ -119,6 +153,53 @@ class TestModeSet:
         assert lam[1].value == pytest.approx(11.0, rel=1e-3)
 
 
+#: synthesis at distinct coordinates may only reorder rounding: the BLAS sums
+#: the same products in a table of another width
+SYNTHESIS_TOL = 1e-13
+
+_MESH_S, _MESH_RHO = np.meshgrid(np.linspace(0.0, PI, 31), np.linspace(PI / 31, PI, 31))
+SYNTHESIS_POINTS = {
+    "meshgrid with repeats": (_MESH_S, _MESH_RHO),
+    "below the near-axis radius": (
+        np.array([0.3, 0.3, 1.7, 2.9, 0.3, PI]),
+        np.array([1e-12, 0.1 * NEAR_AXIS_RADIUS, 1e-12, 0.5, 0.1 * NEAR_AXIS_RADIUS, NEAR_AXIS_RADIUS]),
+    ),
+    "0-d": (1.1, 0.7),
+    "2-d": (
+        np.array([[0.0, 0.7, 0.7, 2.0], [PI, 2.0, 0.7, 1.3], [1.3, 1.3, 0.0, 2.5]]),
+        np.array([[2.0, 1e-10, 0.7, PI], [0.7, 0.7, 1e-10, 3.0], [3.0, 1.5, 2.0, 2.0]]),
+    ),
+}
+
+
+class TestSynthesisAtDistinctCoordinates:
+    """axial_mode, radial_mode and evaluate against per-point synthesis."""
+
+    @pytest.mark.parametrize("case", list(SYNTHESIS_POINTS))
+    @pytest.mark.parametrize("index", [2, np.array([3, 1, 2, 1]), np.array([[1, 4], [4, 2]])])
+    def test_modes_match_per_point(self, modes300, case, index):
+        s, rho = SYNTHESIS_POINTS[case]
+        expected_shape = np.shape(index) + np.shape(np.atleast_1d(s))
+        for got, want in (
+            (modes300.axial_mode(index, s), per_point_axial(modes300, index, s)),
+            (modes300.radial_mode(index, rho), per_point_radial(modes300, index, rho)),
+        ):
+            assert got.shape == want.shape == expected_shape
+            assert np.max(np.abs(got - want)) <= SYNTHESIS_TOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", list(SYNTHESIS_POINTS))
+    def test_field_matches_per_point(self, modes300, monkeypatch, case):
+        s, rho = SYNTHESIS_POINTS[case]
+        series = heat_series(modes300, np.sin, lambda r: np.exp(-2.0 * r), truncation=25)
+        got = series.evaluate(s, rho, 0.3)
+        with monkeypatch.context() as patch:
+            use_per_point_synthesis(patch)
+            want = series.evaluate(s, rho, 0.3)
+        assert np.shape(got) == np.shape(want) == np.shape(s)
+        assert type(got) is type(want)
+        assert np.max(np.abs(np.subtract(got, want))) <= SYNTHESIS_TOL * np.max(np.abs(want))
+
+
 class TestFirstMode:
     def test_vanishes_on_axial_boundary(self, modes300):
         for rho in (0.3, 1.2, 3.0):
@@ -170,7 +251,18 @@ class TestConcentration:
         coeffs = np.zeros(8)
         coeffs[0] = coeffs[1] = 1.0 / math.sqrt(2.0)
         modes = synthetic_modes(coeffs)
-        assert concentration_metric(modes) == pytest.approx(0.5 + 4.0 / (3.0 * PI), abs=1e-6)
+        assert concentration_metric(modes) == pytest.approx(0.5 + 4.0 / (3.0 * PI), abs=1e-12)
+
+    def test_closed_form_matches_trapezoid_reference(self, modes300):
+        coeffs = modes300.coefficients[:, 0]
+        n = np.arange(1, len(coeffs) + 1)
+        energies = []
+        for lo, hi in ((0.0, CORE_RADIUS), (CORE_RADIUS, PI)):
+            x = np.linspace(lo, hi, 20001)
+            psi = math.sqrt(2.0 / PI) * coeffs @ np.sin(np.outer(n, x))
+            energies.append(np.trapezoid(psi**2, x))
+        reference = energies[0] / sum(energies)
+        assert concentration_metric(modes300) == pytest.approx(reference, abs=1e-8)
 
     def test_constructed_mode_concentrates_in_core(self, modes300):
         assert concentration_metric(modes300) > 0.5
@@ -232,9 +324,13 @@ class TestHeatSeries:
             heat_series(modes300, np.sin, np.cos, truncation=0)
 
     def test_rejects_negative_time(self, modes300):
+        # NaN and inf times are refused too: they would return NaN and 0 silently
         series = heat_series(modes300, np.sin, np.cos, truncation=2)
-        with pytest.raises(ValueError):
-            series.evaluate(1.0, 1.0, -0.1)
+        for t in (-0.1, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time must be finite and >= 0"):
+                series.evaluate(1.0, 1.0, t)
+            with pytest.raises(ValueError, match="time must be finite and >= 0"):
+                series.residual_after_first(t)
 
     @pytest.mark.parametrize("s, rho", [(-0.1, 1.0), (1.0, 3.5), (1.0, 0.0)])
     def test_rejects_points_outside_the_channel(self, modes300, s, rho):
@@ -257,3 +353,43 @@ class TestHeatSeries:
         rho_pts = np.append(rho, near_axis)
         u = series.evaluate(s_pts, rho_pts, t)
         assert np.max(np.abs(u - reference_field(series, s_pts, rho_pts, t))) <= 1e-12 * scale
+
+
+class TestChannelOutputs:
+    """`heatline channel` with distinct-coordinate synthesis against per-point synthesis."""
+
+    #: heat.csv and mode1.csv may differ by rounding only (observed: 2.2e-16 and 1.2e-32)
+    CSV_TOL = 1e-14
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        outputs = {}
+        for name in ("distinct", "per_point"):
+            with pytest.MonkeyPatch.context() as patch:
+                if name == "per_point":
+                    use_per_point_synthesis(patch)
+                patch.chdir(tmp_path_factory.mktemp(name))
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    rc = main(["channel", "--grid-m", "60", "--ritz-n", "24", "--out-dir", "out"])
+                assert rc == EXIT_OK
+                files = {f: (Path("out") / f).read_bytes() for f in ("lambda.csv", "heat.csv", "mode1.csv")}
+            outputs[name] = stdout.getvalue(), files
+        return outputs
+
+    def test_lambda_csv_and_stdout_are_byte_identical(self, runs):
+        (out_a, files_a), (out_b, files_b) = runs["distinct"], runs["per_point"]
+        assert out_a == out_b
+        assert files_a["lambda.csv"] == files_b["lambda.csv"]
+
+    @pytest.mark.parametrize("name, rows", [("heat.csv", 4 * 21 * 21), ("mode1.csv", 41 * 41)])
+    def test_field_csvs_agree_within_rounding(self, runs, name, rows):
+        tables = []
+        for run in ("distinct", "per_point"):
+            header, *lines = runs[run][1][name].decode().splitlines()
+            tables.append(np.array([line.split(",") for line in lines], dtype=float))
+        got, want = tables
+        assert got.shape == want.shape and len(got) == rows
+        # the coordinate columns are written from the same points
+        assert np.array_equal(got[:, :-1], want[:, :-1])
+        assert np.max(np.abs(got[:, -1] - want[:, -1])) <= self.CSV_TOL

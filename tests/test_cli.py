@@ -227,6 +227,14 @@ class TestVerify:
         assert main(["verify", "--out-dir", str(tmp_path)]) == EXIT_INPUT
         assert "row 3" in capsys.readouterr().err
 
+    def test_nan_grid_point_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "q.csv"
+        bad.write_text("s,Q\n0.0,0.0\nnan,0.0\n1.0,0.0\n3.141592653589793,0.0\n")
+        rc = main(["verify", "--potential", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert assert_one_error_line(capsys) == "error: grid points must be finite and strictly increasing"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--out-dir", str(tmp_path)]) == EXIT_INPUT
 

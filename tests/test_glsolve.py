@@ -95,6 +95,12 @@ class TestGrids:
         with pytest.raises(ValueError):
             Grid(np.array([0.1, 1.0, PI]))
 
+    @pytest.mark.parametrize("points", [[0.0, math.nan, 1.0, PI], [0.0, 1.0, math.inf, PI]])
+    def test_grid_rejects_points_that_are_not_finite(self, points):
+        # a NaN compares False both ways, so "no step <= 0" alone would let it through
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            Grid(np.array(points))
+
 
 def cumulative_trapezoid_gram(terms, x):
     """int_0^{x_i} a_m(t) b_j(t) dt by the cumulative trapezoid rule on the points x."""
