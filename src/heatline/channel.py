@@ -18,7 +18,9 @@ rate exp(-11 t) and that mode stays concentrated near the axis.
 Modes are synthesized from the verifier's sine-basis coefficient vectors:
 w(s) = sum_n c_n sqrt(2/pi) sin(n s) and v(rho) = psi(rho) / sqrt(rho),
 where psi is the same sine series as w, each summed once per distinct
-coordinate.  The first mode's core share integrates that series exactly.
+coordinate.  The heat field sums over its distinct modes, not its levels,
+and its inner products come from one real FFT on a uniform grid.  The
+first mode's core share integrates that series exactly.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvio import write_csv
-from .ritz import RitzReport
+from .ritz import RitzReport, trapezoid_weights
 from .spectra import PI
 
 #: below this radius v = psi / sqrt(rho) switches to its series slope limit
 NEAR_AXIS_RADIUS = 1e-8
 
-#: points of the trapezoid grid on [0, pi] for heat_series' inner products
+#: points of heat_series' trapezoid grid on [0, pi]; it must stay uniform,
+#: since its sine sums are read off one real FFT of length 2 (P - 1)
 QUADRATURE_POINTS = 2001
 
 #: radius of the core whose share of the first mode's energy is reported
@@ -73,12 +76,6 @@ def combine_spectra(axial: Sequence[float], radial: Sequence[float]) -> tuple[Co
     return tuple(map(CombinedLevel, *columns))
 
 
-def _sine_matrix(coords: np.ndarray, n_max: int) -> np.ndarray:
-    """Rows phi_n(x) = sqrt(2/pi) sin(n x) for n = 1 .. n_max."""
-    n = np.arange(1, n_max + 1)
-    return math.sqrt(2.0 / PI) * np.sin(np.outer(n, coords))
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """The 1-D Dirichlet modes, shared by the axial and radial problems, and
@@ -107,8 +104,10 @@ class ModeSet:
         index = np.asarray(index)
         if np.any(index < 1) or np.any(index > self.coefficients.shape[1]):
             raise ValueError(f"mode indices must lie in [1, {self.coefficients.shape[1]}]")
-        coeffs = self.coefficients[:, index - 1]
-        return (coeffs.T @ _sine_matrix(x.ravel(), len(coeffs))).reshape(index.shape + x.shape)
+        # rows phi_n(x) = sqrt(2/pi) sin(n x), n = 1 .. N
+        n = np.arange(1, self.coefficients.shape[0] + 1)
+        phi = math.sqrt(2.0 / PI) * np.sin(np.outer(n, x.ravel()))
+        return (self.coefficients[:, index - 1].T @ phi).reshape(index.shape + x.shape)
 
     def axial_mode(self, l, s) -> np.ndarray:
         """w_l(s) from its sine series.
@@ -183,10 +182,15 @@ class HeatSeries:
             np.asarray(s, dtype=float), np.asarray(rho, dtype=float)
         )
         lam, m, l = _level_arrays(self.levels)
-        # each mode family is synthesized once per distinct s or rho, then gathered
-        w = self.modes.axial_mode(l, s_arr.ravel())
-        v = self.modes.radial_mode(m, rho_arr.ravel())
-        out = (np.exp(-lam * t) * self.coefficients) @ (v * w)
+        # u = sum_m v_m(rho) (A w)_m(s) with A over the distinct radial and axial
+        # modes only; add.at keeps a repeated (m, l) pair summed
+        radial, m_at = np.unique(m, return_inverse=True)
+        axial, l_at = np.unique(l, return_inverse=True)
+        amplitudes = np.zeros((radial.size, axial.size))
+        np.add.at(amplitudes, (m_at, l_at), np.exp(-lam * t) * self.coefficients)
+        w = self.modes.axial_mode(axial, s_arr.ravel())
+        v = self.modes.radial_mode(radial, rho_arr.ravel())
+        out = np.einsum("mp,mp->p", v, amplitudes @ w)
         if np.ndim(s) == 0 and np.ndim(rho) == 0:
             return float(out[0])
         return out.reshape(s_arr.shape)
@@ -216,12 +220,12 @@ def heat_series(
     coords = np.linspace(0.0, PI, QUADRATURE_POINTS)
     g = np.asarray(axial_profile(coords), dtype=float)
     r = np.asarray(radial_profile(coords), dtype=float)
-    weights = np.full_like(coords, coords[1] - coords[0])
-    weights[0] = weights[-1] = 0.5 * (coords[1] - coords[0])
-    psi = modes._series(np.arange(1, modes.coefficients.shape[1] + 1), coords)
-    # (g, w_l) in plain measure ds; (r, v_m) in rho d rho, i.e. r psi sqrt(rho)
-    axial_products = psi @ (weights * g)
-    radial_products = psi @ (weights * r * np.sqrt(coords))
+    # (g, w_l) in plain measure ds; (r, v_m) in rho d rho, i.e. r psi sqrt(rho); on the
+    # uniform grid x_i = i pi / (P - 1), sum_i F_i sin(n x_i) = -Im rfft(F, 2 (P - 1))[n]
+    weights = trapezoid_weights(coords)
+    integrands = np.stack([weights * g, weights * r * np.sqrt(coords)])
+    sine_sums = -np.fft.rfft(integrands, 2 * (QUADRATURE_POINTS - 1)).imag[:, 1 : len(modes.coefficients) + 1]
+    axial_products, radial_products = math.sqrt(2.0 / PI) * sine_sums @ modes.coefficients
     levels = modes.combined[:truncation]
     _, m, l = _level_arrays(levels)
     coefficients = radial_products[m - 1] * axial_products[l - 1]

@@ -32,7 +32,6 @@ from .ritz import (
     DEFAULT_COMPARE_COUNT,
     DegenerateShapeError,
     JacobiConvergenceError,
-    RitzReport,
     linearized_qtilde_diagnostic,
     verify_potential,
 )
@@ -173,21 +172,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _verify(
-    config: RunConfig,
-    samples: PotentialSamples,
-    spectrum: TargetSpectrum,
-    start: np.ndarray | None = None,
-) -> RitzReport:
-    return verify_potential(
-        samples,
-        spectrum,
-        basis_size=config.ritz_n,
-        compare_count=config.compare_j,
-        start=start,
-    )
-
-
 def cmd_construct(config: RunConfig) -> int:
     spectrum = config.load_spectrum()
     samples = construct_potential(spectrum, config.make_grid())
@@ -201,7 +185,7 @@ def cmd_construct(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig, potential_path: str | None) -> int:
     spectrum = config.load_spectrum()
     path = Path(potential_path) if potential_path else Path(config.out_dir) / "potential.csv"
-    report = _verify(config, PotentialSamples.from_csv(path), spectrum)
+    report = verify_potential(PotentialSamples.from_csv(path), spectrum, config.ritz_n, config.compare_j)
     out_dir = Path(config.out_dir)
     report.to_csv(out_dir / "report.csv")
     report.eigenvectors_to_csv(out_dir / "eigenvectors.csv")
@@ -222,7 +206,8 @@ def cmd_table(config: RunConfig, which: str) -> int:
     start = None
     for grid_flags, reference, label in table:
         grid = replace(config, **{"grid_m": None, "grid_m1": None, "grid_m2": None, **grid_flags}).make_grid()
-        report = _verify(config, construct_potential(spectrum, grid), spectrum, start)
+        samples = construct_potential(spectrum, grid)
+        report = verify_potential(samples, spectrum, config.ritz_n, config.compare_j, start)
         delta, start = report.delta, report.eigenvectors
         print(f"{label}: delta = {100 * delta:.4f}%  (reference {reference}%)")
         rows.append((*grid_flags.values(), 100.0 * delta, reference))
@@ -239,7 +224,8 @@ def cmd_channel(config: RunConfig, potential_path: str | None) -> int:
         samples = PotentialSamples.from_csv(potential_path)
     else:
         samples = construct_potential(spectrum, config.make_grid())
-    modes = channel_mod.ModeSet.from_reports(_verify(config, samples, spectrum))
+    report = verify_potential(samples, spectrum, config.ritz_n, config.compare_j)
+    modes = channel_mod.ModeSet.from_reports(report)
     out_dir = Path(config.out_dir)
     channel_mod.write_lambda_csv(modes, out_dir / "lambda.csv")
     channel_mod.write_first_mode_csv(modes, out_dir / "mode1.csv")

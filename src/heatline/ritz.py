@@ -58,7 +58,9 @@ class JacobiConvergenceError(Exception):
 
 
 class DegenerateShapeError(Exception):
-    """Sampled potential lacks the max-then-min tail the line diagnostic needs."""
+    """Sampled potential cannot carry the line diagnostic: it lacks the
+    max-then-min tail, or its trapezoid Ritz matrix has a zero or non-finite
+    entry, where the relative error is undefined."""
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -401,6 +403,12 @@ def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> Linear
     qt_line += _ppoly_cos_moments(knots, chords, kmax)
     p_trap = _ritz_from_moments(_trapezoid_cos_moments(x, q, kmax), size)
     p_line = _ritz_from_moments(qt_line, size)
+    undefined = np.count_nonzero(~(np.isfinite(p_trap) & np.isfinite(p_line) & (p_trap != 0.0)))
+    if undefined:
+        raise DegenerateShapeError(
+            f"the {size} x {size} trapezoid Ritz matrix on {len(x)} grid points has "
+            f"{undefined} zero or non-finite entries, so the relative error E is undefined"
+        )
     entrywise = np.abs(p_trap - p_line) / np.abs(p_trap)
     return LinearizedMomentsDiagnostic(
         entrywise_error=entrywise,

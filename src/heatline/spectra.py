@@ -70,9 +70,17 @@ class TargetSpectrum:
                 raise ValueError(f"normalizer alpha_{level.index} = {level.alpha} makes the "
                                  f"kernel weight 1/alpha_{level.index} overflow")
             last_index = level.index
-        merged = self.eigenvalues(max((lv.index for lv in self.perturbed), default=0) + 1)
-        if np.any(np.diff(merged) <= 0.0):
-            raise ValueError(f"merged spectrum is not strictly increasing: {merged}")
+        # the free values j^2 increase, so order can only break next to a
+        # perturbed level: compare only the pairs (j - 1, j) and (j, j + 1)
+        prescribed = {level.index: level.nu for level in self.perturbed}
+
+        def nu(j: int) -> float:
+            return prescribed.get(j, float(j * j))
+
+        for i in sorted({k for j in prescribed for k in (j - 1, j) if k >= 1}):
+            if not nu(i) < nu(i + 1):
+                raise ValueError(f"merged spectrum is not strictly increasing: "
+                                 f"nu_{i} = {nu(i)}, nu_{i + 1} = {nu(i + 1)}")
 
     def eigenvalue(self, j: int) -> float:
         """nu_j of the merged spectrum (1-based)."""

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from heatline.channel import (
     CORE_RADIUS,
     NEAR_AXIS_RADIUS,
+    QUADRATURE_POINTS,
+    HeatSeries,
     ModeSet,
     combine_spectra,
     concentration_metric,
@@ -18,7 +20,10 @@ from heatline.channel import (
     heat_series,
 )
 from heatline.cli import EXIT_OK, main
-from heatline.ritz import verify_potential
+from heatline.glsolve import SingularSystemError, construct_potential, make_uniform_grid
+from heatline.ritz import JacobiConvergenceError, verify_potential
+
+from strategies import admissible_spectra
 
 PI = math.pi
 
@@ -353,6 +358,102 @@ class TestHeatSeries:
         rho_pts = np.append(rho, near_axis)
         u = series.evaluate(s_pts, rho_pts, t)
         assert np.max(np.abs(u - reference_field(series, s_pts, rho_pts, t))) <= 1e-12 * scale
+
+
+def sine_table_coefficients(modes, axial_profile, radial_profile, levels):
+    """Series coefficients from trapezoid sums against a full sine table, mode by mode."""
+    x = np.linspace(0.0, PI, QUADRATURE_POINTS)
+    weights = np.full_like(x, x[1] - x[0])
+    weights[0] = weights[-1] = 0.5 * (x[1] - x[0])
+    psi = per_point_series(modes, np.arange(1, modes.coefficients.shape[1] + 1), x)
+    axial = psi @ (weights * axial_profile(x))
+    radial = psi @ (weights * radial_profile(x) * np.sqrt(x))
+    return np.array([radial[lv.radial_index - 1] * axial[lv.axial_index - 1] for lv in levels])
+
+
+def per_level_field(series, s, rho, t):
+    """u as a contraction over levels, with one gathered mode row per level."""
+    s, rho = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(rho, dtype=float))
+    lam, m, l = (np.array(column) for column in zip(*series.levels))
+    w = series.modes.axial_mode(l, s.ravel())
+    v = series.modes.radial_mode(m, rho.ravel())
+    return ((np.exp(-lam * t) * series.coefficients) @ (v * w)).reshape(s.shape)
+
+
+#: the FFT and the sine table sum the same products in another order
+#: (observed: 1.6e-15 of the largest coefficient)
+INNER_PRODUCT_TOL = 1e-13
+
+#: the distinct-mode contraction regroups the sum over levels (observed: 4e-16 of max |u|)
+CONTRACTION_TOL = 1e-13
+
+PROFILES = {
+    "paper field": (np.sin, lambda r: np.exp(-2.0 * r)),
+    "oscillating": (lambda s: np.cos(7.3 * s), lambda r: np.sin(4.1 * r) ** 2),
+    "kinked": (lambda s: np.abs(s - 1.0), lambda r: np.maximum(1.5 - r, 0.0)),
+    "constant": (lambda s: 1.0, lambda r: 1.0),
+}
+
+
+class TestSeriesReferences:
+    """heat_series' FFT inner products and evaluate's distinct-mode sum against references."""
+
+    @pytest.mark.parametrize("profiles", list(PROFILES))
+    @pytest.mark.parametrize("mode_count, truncation", [(None, 25), (60, 600)])
+    def test_fft_inner_products_match_sine_table(self, report300, profiles, mode_count, truncation):
+        modes = ModeSet.from_reports(report300, mode_count=mode_count)
+        axial_profile, radial_profile = PROFILES[profiles]
+        series = heat_series(modes, axial_profile, radial_profile, truncation=truncation)
+        want = sine_table_coefficients(modes, axial_profile, radial_profile, series.levels)
+        assert series.coefficients.shape == want.shape == (truncation,)
+        assert np.max(np.abs(series.coefficients - want)) <= INNER_PRODUCT_TOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", list(SYNTHESIS_POINTS))
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+    def test_evaluate_matches_per_level_contraction(self, modes300, case, t):
+        s, rho = SYNTHESIS_POINTS[case]
+        series = heat_series(modes300, np.sin, lambda r: np.exp(-2.0 * r), truncation=25)
+        got, want = series.evaluate(s, rho, t), per_level_field(series, s, rho, t)
+        assert np.shape(got) == np.shape(want) == np.shape(s)
+        assert np.max(np.abs(got - want)) <= CONTRACTION_TOL * np.max(np.abs(want))
+
+    def test_repeated_level_pairs_still_sum(self, modes300):
+        levels = modes300.combined[:6]
+        series = HeatSeries(modes300, levels + levels[2:4] + levels[2:3], np.linspace(1.0, 0.2, 9))
+        s, rho = _MESH_S, _MESH_RHO
+        want = per_level_field(series, s, rho, 0.4)
+        assert np.max(np.abs(series.evaluate(s, rho, 0.4) - want)) <= CONTRACTION_TOL * np.max(np.abs(want))
+
+
+class TestSeriesOverRandomSpectra:
+    @given(
+        spectrum=admissible_spectra(),
+        intervals=st.integers(40, 160),
+        basis=st.integers(12, 40),
+        k=st.floats(0.5, 3.0),
+        a=st.floats(0.5, 3.0),
+        t=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_series_properties(self, spectrum, intervals, basis, k, a, t):
+        try:
+            samples = construct_potential(spectrum, make_uniform_grid(intervals))
+            report = verify_potential(samples, spectrum, basis_size=basis, compare_count=10)
+        except (SingularSystemError, JacobiConvergenceError):
+            return
+        modes = ModeSet.from_reports(report)
+        series = heat_series(modes, lambda s: np.sin(k * s), lambda r: np.exp(-a * r), truncation=25)
+        lam = np.array([level.value for level in modes.combined])
+        assert np.all(np.diff(lam) >= 0.0)
+        assert [level.value for level in series.levels] == lam[:25].tolist()
+        bound = series.tail_norm() * math.exp(-lam[1] * t)
+        assert series.residual_after_first(t) <= bound * (1.0 + 1e-12)
+        assert 0.0 <= concentration_metric(modes) <= 1.0
+        assert type(series.evaluate(1.1, 0.7, t)) is float
+        assert series.evaluate(np.linspace(0.0, PI, 5), np.linspace(PI, 0.1, 5), t).shape == (5,)
+        mesh_s, mesh_rho = np.meshgrid(np.linspace(0.0, PI, 9), np.linspace(0.1, PI, 7))
+        u = series.evaluate(mesh_s, mesh_rho, t)
+        assert u.shape == (7, 9) and np.all(np.isfinite(u))
 
 
 class TestChannelOutputs:

@@ -339,6 +339,19 @@ class TestDiagnoseCommand:
         ])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid_m", [3, 8])
+    def test_zero_trapezoid_entries_are_named_not_averaged(self, tmp_path, capsys, grid_m):
+        # on so coarse a grid the trapezoid moments alias and some entries of
+        # the trapezoid matrix vanish, so the relative error E is undefined
+        rc = main(["diagnose-linearized", "--grid-m", str(grid_m), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "zero or non-finite entries" in err
+        assert not (tmp_path / "linearized_error.csv").exists()
+
 
 class TestTableCommand:
     def test_two_zone_table(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ class TestTargetSpectrum:
         # nu_2 = 0.5 collides with the free nu_1 = 1
         with pytest.raises(ValueError, match="strictly increasing"):
             TargetSpectrum(perturbed=(PerturbedLevel(2, 0.5, 1.0),))
+
+    def test_huge_index_validates_without_walking_the_free_levels(self):
+        # the order check looks only at a perturbed level's neighbours; walking
+        # every free level up to 10^12 would take hours
+        start = time.perf_counter()
+        spec = TargetSpectrum(perturbed=(PerturbedLevel(10**12, 1e24 + 1e6, 1.0),))
+        assert time.perf_counter() - start < 0.1
+        assert spec.eigenvalue(10**12) == 1e24 + 1e6
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TargetSpectrum(perturbed=(PerturbedLevel(10**12, 2e24, 1.0),))
+
+    @given(st.dictionaries(st.integers(1, 8), st.floats(0.0, 80.0), min_size=1, max_size=5))
+    def test_order_check_matches_the_whole_merged_sequence(self, prescribed):
+        levels = tuple(PerturbedLevel(j, nu, 1.0) for j, nu in sorted(prescribed.items()))
+        merged = [prescribed.get(j, float(j * j)) for j in range(1, max(prescribed) + 2)]
+        if np.all(np.diff(merged) > 0.0):
+            TargetSpectrum(perturbed=levels)
+        else:
+            with pytest.raises(ValueError, match="merged spectrum is not strictly increasing"):
+                TargetSpectrum(perturbed=levels)
 
 
 class TestSpectrumFile:
