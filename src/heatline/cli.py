@@ -121,38 +121,46 @@ class RunConfig:
 
 
 GRID_FLAGS = ("grid_m", "grid_m1", "grid_m2")
-RITZ_FLAGS = ("ritz_n", "compare_j")
+
+#: the RunConfig fields each command reads; its parser takes a flag for each
+#: of them and refuses every other
+COMMAND_FIELDS = {
+    "construct": ("spectrum_file", *GRID_FLAGS, "out_dir"),
+    "verify": ("spectrum_file", "ritz_n", "compare_j", "out_dir", "threshold"),
+    # the table rows fix their own grids
+    "table": ("spectrum_file", "ritz_n", "compare_j", "out_dir"),
+    "channel": ("spectrum_file", *GRID_FLAGS, "ritz_n", "compare_j", "out_dir"),
+    "diagnose-linearized": ("spectrum_file", *GRID_FLAGS, "compare_j", "out_dir"),
+}
+#: the fields that a saved --potential replaces
+REPLACED_BY_POTENTIAL = {"channel": GRID_FLAGS, "diagnose-linearized": ("spectrum_file", *GRID_FLAGS)}
+
+FLAG_HELP = {
+    "spectrum_file": "target spectrum JSON",
+    "grid_m": "uniform grid intervals",
+    "grid_m1": "left-zone intervals",
+    "grid_m2": "right-zone intervals",
+    "ritz_n": "sine basis size",
+    "compare_j": "eigenvalues compared against the target",
+    "out_dir": "output directory",
+    "threshold": "fail (exit 1) if delta exceeds this value",
+}
 
 
-def _read_flags(args: argparse.Namespace) -> set[str]:
-    """Dests of the parsed arguments that the chosen command reads."""
-    reused = getattr(args, "potential", None) is not None
-    built = () if reused else ("spectrum_file", *GRID_FLAGS)
-    read = {
-        "construct": ("spectrum_file", *GRID_FLAGS),
-        "verify": ("spectrum_file", "potential", *RITZ_FLAGS, "threshold"),
-        # the table rows fix their own grids
-        "table": ("spectrum_file", *RITZ_FLAGS),
-        "channel": ("spectrum_file", "potential", *built, *RITZ_FLAGS),
-        "diagnose-linearized": ("potential", "compare_j", *built),
-    }[args.command]
-    return {"command", "which", "config", "out_dir", *read}
-
-
-def _reject_unread_flags(args: argparse.Namespace) -> None:
-    """Refuse a flag the chosen command would ignore; config-file keys may be shared."""
-    read = _read_flags(args)
-    unread = [name for name, value in vars(args).items() if value is not None and name not in read]
-    if unread:
-        command = " ".join([args.command, *([args.which] if args.command == "table" else [])])
-        with_potential = " with --potential" if getattr(args, "potential", None) else ""
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        raise ValueError(f"heatline {command}{with_potential} does not read {flags}")
+def _refuse_unread(args: argparse.Namespace, extras: list[str]) -> None:
+    """Refuse the arguments the parser did not take, and the flags that --potential replaces."""
+    replaced = REPLACED_BY_POTENTIAL.get(args.command, ()) if getattr(args, "potential", None) else ()
+    given = [f"--{name.replace('_', '-')} {getattr(args, name)}"
+             for name in replaced if getattr(args, name) is not None]
+    if extras or given:
+        with_potential = " with --potential" if given else ""
+        raise ValueError(f"heatline {args.command}{with_potential}: "
+                         f"unrecognized arguments: {' '.join(extras + given)}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
@@ -168,7 +176,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if getattr(args, f.name, None) is not None
     }
     config = replace(config, **overrides)
-    config.validate(verifies="ritz_n" in _read_flags(args))
+    config.validate(verifies=hasattr(args, "ritz_n"))
     return config
 
 
@@ -287,47 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
         "verify them variationally, and compute the modes of the 3-D heat channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    hints = typing.get_type_hints(RunConfig)
+    for command, help_text in (
+        ("construct", "build Q and write potential.csv"),
+        ("verify", "recompute the spectrum of a saved potential"),
+        ("table", "reproduce a convergence table"),
+        ("channel", "assemble 3-D modes and heat evolution data"),
+        ("diagnose-linearized", "test straight-line tail moments against trapezoid"),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with config keys; flags override it")
-        p.add_argument("--spectrum-file", dest="spectrum_file", help="target spectrum JSON")
-        p.add_argument("--grid-m", dest="grid_m", type=int, help="uniform grid intervals")
-        p.add_argument("--grid-m1", dest="grid_m1", type=int, help="left-zone intervals")
-        p.add_argument("--grid-m2", dest="grid_m2", type=int, help="right-zone intervals")
-        p.add_argument("--ritz-n", dest="ritz_n", type=int, help="sine basis size")
-        p.add_argument("--compare-j", dest="compare_j", type=int,
-                       help="eigenvalues compared against the target")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument("--threshold", dest="threshold", type=float,
-                       help="fail (exit 1) if delta exceeds this value")
-
-    p_construct = sub.add_parser("construct", help="build Q and write potential.csv")
-    add_common(p_construct)
-
-    p_verify = sub.add_parser("verify", help="recompute the spectrum of a saved potential")
-    add_common(p_verify)
-    p_verify.add_argument("--potential", help="potential CSV (default <out-dir>/potential.csv)")
-
-    p_table = sub.add_parser("table", help="reproduce a convergence table")
-    add_common(p_table)
-    p_table.add_argument("which", choices=("uniform", "two_zone"))
-
-    p_channel = sub.add_parser("channel", help="assemble 3-D modes and heat evolution data")
-    add_common(p_channel)
-    p_channel.add_argument("--potential", help="reuse a saved potential CSV")
-
-    p_diag = sub.add_parser("diagnose-linearized",
-                            help="test straight-line tail moments against trapezoid")
-    add_common(p_diag)
-    p_diag.add_argument("--potential", help="reuse a saved potential CSV")
+        for name in COMMAND_FIELDS[command]:
+            kind = (typing.get_args(hints[name]) or (hints[name],))[0]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=FLAG_HELP[name])
+    sub.choices["verify"].add_argument("--potential", help="potential CSV (default <out-dir>/potential.csv)")
+    sub.choices["table"].add_argument("which", choices=tuple(TABLE_ROWS))
+    for command in REPLACED_BY_POTENTIAL:
+        sub.choices[command].add_argument("--potential", help="reuse a saved potential CSV")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _reject_unread_flags(args)
+        args, extras = parser.parse_known_args(argv)
+        _refuse_unread(args, extras)
         config = _config_from_args(args)
         # looked up at call time, so a wrapped cmd_* is the one that runs
         commands = {
@@ -344,9 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateShapeError,
         JacobiConvergenceError,
         ValueError,
-        KeyError,
         OSError,
-        json.JSONDecodeError,
         MemoryError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)

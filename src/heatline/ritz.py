@@ -51,6 +51,11 @@ MAX_SWEEPS = 100
 #: eigenvectors of the paper matrix reach 2.5e-14 at N = 100 and 9.5e-14
 #: at N = 400, warm-started or not
 START_ORTHOGONALITY_TOL = 1e-12
+#: a trapezoid Ritz entry within this many eps * max |P_trap| of zero is zero
+#: to rounding; the paper potential's entries that alias to zero reach at most
+#: 0.016 (M = 3, 8, 20), its smallest real ones 2.6e10 (M = 40) and 2.0e12
+#: (two-zone 50 + 75)
+ZERO_ENTRY_EPS = 1e3
 
 
 class JacobiConvergenceError(Exception):
@@ -59,8 +64,8 @@ class JacobiConvergenceError(Exception):
 
 class DegenerateShapeError(Exception):
     """Sampled potential cannot carry the line diagnostic: it lacks the
-    max-then-min tail, or its trapezoid Ritz matrix has a zero or non-finite
-    entry, where the relative error is undefined."""
+    max-then-min tail, or its trapezoid Ritz matrix has an entry that is zero
+    to rounding or non-finite, where the relative error is undefined."""
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -403,11 +408,14 @@ def linearized_qtilde_diagnostic(samples: PotentialSamples, size: int) -> Linear
     qt_line += _ppoly_cos_moments(knots, chords, kmax)
     p_trap = _ritz_from_moments(_trapezoid_cos_moments(x, q, kmax), size)
     p_line = _ritz_from_moments(qt_line, size)
-    undefined = np.count_nonzero(~(np.isfinite(p_trap) & np.isfinite(p_line) & (p_trap != 0.0)))
+    defined = np.isfinite(p_trap) & np.isfinite(p_line)
+    floor = ZERO_ENTRY_EPS * np.finfo(float).eps * np.max(np.abs(p_trap), where=defined, initial=0.0)
+    undefined = np.count_nonzero(~(defined & (np.abs(p_trap) > floor)))
     if undefined:
         raise DegenerateShapeError(
             f"the {size} x {size} trapezoid Ritz matrix on {len(x)} grid points has "
-            f"{undefined} zero or non-finite entries, so the relative error E is undefined"
+            f"{undefined} zero or non-finite entries (zero: within {ZERO_ENTRY_EPS:g} eps "
+            f"max |P_trap|), so the relative error E is undefined"
         )
     entrywise = np.abs(p_trap - p_line) / np.abs(p_trap)
     return LinearizedMomentsDiagnostic(

@@ -35,6 +35,9 @@ FREE_NORMALIZER = PI / 2.0
 #: squared L2 norm of x on [0, pi], the normalizer of the nu = 0 level
 ZERO_LEVEL_NORMALIZER = PI**3 / 3.0
 
+#: largest finite float; a Python int above it has no float value
+FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class PerturbedLevel:
@@ -58,6 +61,12 @@ class TargetSpectrum:
     def __post_init__(self) -> None:
         last_index = 0
         for level in self.perturbed:
+            if level.index < 1:
+                raise ValueError(f"perturbed index must be at least 1, got {level.index}")
+            # the order check below squares the free neighbour index + 1
+            if (level.index + 1) ** 2 > FLOAT_MAX:
+                raise ValueError(f"perturbed index {level.index} is too large: "
+                                 f"the square of index + 1 overflows a float")
             if level.index <= last_index:
                 raise ValueError(
                     f"perturbed indices must be strictly increasing, got {level.index}"
@@ -110,14 +119,15 @@ def default_target_spectrum() -> TargetSpectrum:
 def check_type(name: str, value, kinds: tuple) -> None:
     """Reject a config or spectrum-file value that is not of its declared type.
 
-    A float field takes any finite int or float; an int field takes no
-    bool; None passes only where the field allows it.
+    A float field takes any int or float of finite float value; an int
+    field takes no bool; None passes only where the field allows it.
     """
     if value is None and type(None) in kinds:
         return
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if float in kinds:
-        valid = number and math.isfinite(value)
+        # ints compare exactly, so one beyond float range fails here too
+        valid = number and abs(value) <= FLOAT_MAX
         wanted = "a finite number"
     elif int in kinds:
         valid = number and isinstance(value, int)

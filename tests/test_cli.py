@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heatline import ritz
 from heatline.channel import ModeSet, heat_series
@@ -43,6 +50,26 @@ class TestRunConfig:
         assert len(RunConfig().make_grid()) == 301
 
 
+json_leaves = st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=6)
+
+
+def json_values(keys):
+    """Any JSON value; object keys come from `keys` or are any text."""
+    return st.recursive(json_leaves, lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), children, max_size=4),
+                        max_leaves=12)
+
+
+SPECTRUM_KEYS = ("perturbed", "interval_length", "index", "nu", "alpha")
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+# besides any JSON value, objects of known keys that often hold small numbers,
+# so that the draws also pass the type checks and reach the construction
+known_values = json_leaves | st.integers(0, 30) | st.floats(-1.0, 40.0)
+spectrum_files = json_values(SPECTRUM_KEYS) | st.lists(
+    st.dictionaries(st.sampled_from(SPECTRUM_KEYS[2:]), known_values), max_size=3)
+config_files = json_values(CONFIG_KEYS) | st.dictionaries(st.sampled_from(CONFIG_KEYS), known_values, max_size=3)
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -57,7 +84,10 @@ class TestInputContract:
         assert rc == EXIT_INPUT
         assert "threshold" in assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("key, value", [("grid_m", "300"), ("ritz_n", 40.5), ("grid_m", True)])
+    @pytest.mark.parametrize("key, value", [
+        ("grid_m", "300"), ("ritz_n", 40.5), ("grid_m", True),
+        pytest.param("threshold", 10**400, id="threshold-1e400"),
+    ])
     def test_wrong_type_in_config_is_rejected(self, tmp_path, capsys, key, value):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({key: value, "out_dir": str(tmp_path)}))
@@ -81,6 +111,11 @@ class TestInputContract:
         ([{"index": 2}], "spectrum record 1 is missing 'nu'"),
         ([{"index": 2, "nu": 5.0}, {"nu": 5}], "spectrum record 2 is missing 'index'"),
         ([{"index": 2, "nu": 5.0, "alpha": 1e-320}], "kernel weight 1/alpha_2 overflow"),
+        # JSON integers beyond float range
+        ([{"index": 10**200, "nu": 5.0}], "is too large: the square of index + 1 overflows a float"),
+        ([{"index": 2, "nu": 10**400}], "nu of spectrum record 1 must be a finite number"),
+        ({"perturbed": [], "interval_length": 10**400}, "interval_length must be a finite number"),
+        ([{"index": 0, "nu": 5.0}], "perturbed index must be at least 1, got 0"),
     ])
     # a numpy RuntimeWarning would be a second stderr line outside pytest
     @pytest.mark.filterwarnings("error")
@@ -91,6 +126,29 @@ class TestInputContract:
         assert rc == EXIT_INPUT
         assert word in assert_one_error_line(capsys)
         assert not (tmp_path / "potential.csv").exists()
+
+    @given(spectrum=spectrum_files, config=config_files)
+    # JSON integers beyond float range, found by this property
+    @example(spectrum=[], config={"threshold": 10**400})
+    @example(spectrum=[{"index": 10**400, "nu": 14.0}], config={})
+    @example(spectrum=[{"index": 10**200, "nu": 14.0}], config={})
+    @example(spectrum=[{"index": 2, "nu": -10**400}], config={})
+    @example(spectrum={"interval_length": 10**400}, config={})
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_input_exits_0_or_2_with_one_line(self, spectrum, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, "spectrum.json"), Path(tmp, "config.json")]
+            for path, value in zip(paths, (spectrum, config)):
+                path.write_text(json.dumps(value))
+            err = io.StringIO()
+            # the flags override the file's grid_m, spectrum_file and out_dir
+            argv = ["construct", "--grid-m", "8", "--spectrum-file", str(paths[0]),
+                    "--config", str(paths[1]), "--out-dir", tmp]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_INPUT)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) <= 1
 
     @pytest.mark.parametrize("content", ["5", "null", "[]", '"abc"'])
     def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys, content):
@@ -117,23 +175,49 @@ class TestInputContract:
         assert peak < 1_000_000
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv, command, flags", [
-        (["construct", "--threshold", "1e-12", "--ritz-n", "7", "--compare-j", "5"],
-         "construct", "--ritz-n, --compare-j, --threshold"),
-        (["diagnose-linearized", "--threshold", "1e-12", "--ritz-n", "30"],
-         "diagnose-linearized", "--ritz-n, --threshold"),
-        (["table", "uniform", "--grid-m", "50", "--threshold", "1e-12"], "table uniform", "--grid-m, --threshold"),
-        (["table", "two_zone", "--grid-m", "50"], "table two_zone", "--grid-m"),
-        (["verify", "--grid-m1", "50", "--grid-m2", "75"], "verify", "--grid-m1, --grid-m2"),
-        (["channel", "--potential", "q.csv", "--grid-m", "60", "--threshold", "0.1"],
-         "channel with --potential", "--grid-m, --threshold"),
-        (["diagnose-linearized", "--potential", "q.csv", "--grid-m1", "50", "--spectrum-file", "s.json"],
-         "diagnose-linearized with --potential", "--spectrum-file, --grid-m1"),
+    # each id names the command and the flags it refuses
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["construct", "--threshold", "1e-12", "--ritz-n", "7", "--compare-j", "5"],
+                     "heatline construct: unrecognized arguments: --threshold 1e-12 --ritz-n 7 --compare-j 5",
+                     id="argv0-construct---ritz-n, --compare-j, --threshold"),
+        pytest.param(["diagnose-linearized", "--threshold", "1e-12", "--ritz-n", "30"],
+                     "heatline diagnose-linearized: unrecognized arguments: --threshold 1e-12 --ritz-n 30",
+                     id="argv1-diagnose-linearized---ritz-n, --threshold"),
+        pytest.param(["table", "uniform", "--grid-m", "50", "--threshold", "1e-12"],
+                     "heatline table: unrecognized arguments: --grid-m 50 --threshold 1e-12",
+                     id="argv2-table uniform---grid-m, --threshold"),
+        pytest.param(["table", "two_zone", "--grid-m", "50"],
+                     "heatline table: unrecognized arguments: --grid-m 50",
+                     id="argv3-table two_zone---grid-m"),
+        pytest.param(["verify", "--grid-m1", "50", "--grid-m2", "75"],
+                     "heatline verify: unrecognized arguments: --grid-m1 50 --grid-m2 75",
+                     id="argv4-verify---grid-m1, --grid-m2"),
+        pytest.param(["channel", "--potential", "q.csv", "--grid-m", "60", "--threshold", "0.1"],
+                     "heatline channel with --potential: unrecognized arguments: --threshold 0.1 --grid-m 60",
+                     id="argv5-channel with --potential---grid-m, --threshold"),
+        pytest.param(["diagnose-linearized", "--potential", "q.csv", "--grid-m1", "50", "--spectrum-file", "s.json"],
+                     "heatline diagnose-linearized with --potential: "
+                     "unrecognized arguments: --spectrum-file s.json --grid-m1 50",
+                     id="argv6-diagnose-linearized with --potential---spectrum-file, --grid-m1"),
     ])
-    def test_unread_flag_is_rejected(self, tmp_path, capsys, argv, command, flags):
+    def test_unread_flag_is_rejected(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
-        assert assert_one_error_line(capsys) == f"error: heatline {command} does not read {flags}"
+        assert assert_one_error_line(capsys) == f"error: {message}"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, reads", [
+        ("construct", "--spectrum-file --grid-m --grid-m1 --grid-m2 --out-dir"),
+        ("verify", "--spectrum-file --ritz-n --compare-j --out-dir --threshold --potential"),
+        ("table", "--spectrum-file --ritz-n --compare-j --out-dir"),
+        ("channel", "--spectrum-file --grid-m --grid-m1 --grid-m2 --ritz-n --compare-j --out-dir --potential"),
+        ("diagnose-linearized", "--spectrum-file --grid-m --grid-m1 --grid-m2 --compare-j --out-dir --potential"),
+    ])
+    def test_help_lists_exactly_the_flags_read(self, capsys, command, reads):
+        with pytest.raises(SystemExit) as done:
+            main([command, "-h"])
+        assert done.value.code == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config", *reads.split()}
 
     @pytest.mark.parametrize("argv, words", [
         (["construct", "--grid-m", "abc"], "heatline construct: argument --grid-m: invalid int value: 'abc'"),
@@ -340,10 +424,11 @@ class TestDiagnoseCommand:
         assert rc == EXIT_INPUT
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("grid_m", [3, 8])
+    @pytest.mark.parametrize("grid_m", [3, 8, 20])
     def test_zero_trapezoid_entries_are_named_not_averaged(self, tmp_path, capsys, grid_m):
         # on so coarse a grid the trapezoid moments alias and some entries of
-        # the trapezoid matrix vanish, so the relative error E is undefined
+        # the trapezoid matrix vanish, exactly or to rounding (M = 20), so the
+        # relative error E is undefined
         rc = main(["diagnose-linearized", "--grid-m", str(grid_m), "--out-dir", str(tmp_path)])
         assert rc == EXIT_INPUT
         out, err = capsys.readouterr()
@@ -401,6 +486,23 @@ def test_runtime_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+#: the modules that importing heatline and its CLI loads beyond numpy
+RUNTIME_MODULES = {"__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext", "json",
+                   "heatline"}
+
+
+def test_runtime_imports_no_new_module():
+    # the `tables` benchmark times a fresh interpreter importing heatline, so
+    # any further import shows in its set-up time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; before = set(sys.modules); "
+            "import heatline, heatline.cli; print('\\n'.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = done.stdout.split()
+    assert "heatline.cli" in loaded
+    assert [m for m in loaded if m not in RUNTIME_MODULES and not m.startswith(("json.", "heatline."))] == []
 
 
 class TestOutputsAgainstScipySpline:
