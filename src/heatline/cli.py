@@ -65,9 +65,9 @@ EXIT_INPUT = 2
 
 #: largest total number of grid intervals; M = 1e5 constructs in about 1.4 s
 MAX_GRID_INTERVALS = 100_000
-#: largest sine basis; a cold Jacobi on the paper matrix takes about 1.3 s at
-#: N = 200 and 15 s at N = 400 on 2 vCPUs (1.7 s and 32 s without pair
-#: compression, same host)
+#: largest sine basis; a cold Jacobi on the paper matrix (M = 300) takes
+#: about 0.62 s at N = 200 and 6.1 s at N = 400 on 2 vCPUs, sweeps plus
+#: refinement
 MAX_RITZ_N = 400
 
 
@@ -162,7 +162,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {args.config} nests too deeply") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"config file must hold a JSON object, got {file_values!r}")
         known = {f.name for f in fields(RunConfig)}

@@ -149,7 +149,10 @@ def load_target_spectrum(path: str | Path) -> TargetSpectrum:
     pi^3/3 when nu = 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"spectrum file {path} nests too deeply") from None
     if isinstance(data, dict):
         records = data.get("perturbed", [])
         interval_length = data.get("interval_length", PI)

@@ -150,6 +150,16 @@ class TestInputContract:
         assert "Traceback" not in err.getvalue()
         assert len(err.getvalue().splitlines()) <= 1
 
+    @pytest.mark.parametrize("flag, kind", [("--spectrum-file", "spectrum"), ("--config", "config")])
+    def test_deeply_nested_json_is_rejected(self, tmp_path, capsys, flag, kind):
+        # json.load raises RecursionError far below this depth
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc = main(["construct", "--grid-m", "8", flag, str(path), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert assert_one_error_line(capsys) == f"error: {kind} file {path} nests too deeply"
+        assert not (tmp_path / "potential.csv").exists()
+
     @pytest.mark.parametrize("content", ["5", "null", "[]", '"abc"'])
     def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys, content):
         config = tmp_path / "run.json"

@@ -115,8 +115,9 @@ def loop_ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, km
 def reference_jacobi_eigen(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin Jacobi that applies a skipped rotation as the identity over all n/2 pairs.
 
-    Every pairing runs the full array update; pair compression must give
-    the same eigenvalues and eigenvectors bit for bit.
+    Every pairing runs the full array update; the sweep boundaries consult
+    the same refinement gate and hand over to the same refinement, so pair
+    compression must give the same eigenvalues and eigenvectors bit for bit.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -124,12 +125,16 @@ def reference_jacobi_eigen(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.n
     a = x[:, :n]
     skip = tol / (n * n)
     while True:
-        off_diagonal = a - np.diag(np.diag(a))
-        if math.sqrt(np.sum(off_diagonal * off_diagonal)) < tol:
-            order = np.argsort(np.diag(a), kind="stable")
-            vectors = x[order, n:].T
-            lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
-            return np.diag(a)[order].copy(), vectors * np.where(lead < 0.0, -1.0, 1.0)
+        diagonal = np.diag(a)
+        off_diagonal = a - np.diag(diagonal)
+        off = math.sqrt(np.sum(off_diagonal * off_diagonal))
+        vectors_t = x[:, n:]
+        if off < tol:
+            values, vectors = diagonal, vectors_t.T
+            break
+        if ritz._refinement_ready(diagonal, off, np.eye(n) - vectors_t @ vectors_t.T):
+            values, vectors = ritz._refine(matrix, vectors_t.T)
+            break
         for p, q in zip(*_round_robin_pairings(n)):
             pq, qp = np.concatenate([p, q]), np.concatenate([q, p])
             apq = a[p, q]
@@ -143,6 +148,20 @@ def reference_jacobi_eigen(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.n
             x[pq] = c2[:, None] * x[pq] + s2[:, None] * x[qp]
             a[:, pq] = a[:, pq] * c2 + a[:, qp] * s2
             a[p, q] = a[q, p] = np.where(rotate, 0.0, apq)
+    order = np.argsort(values, kind="stable")
+    vectors = vectors[:, order]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+    return values[order], vectors * np.where(lead < 0.0, -1.0, 1.0)
+
+
+def gate_pair(ratio: float, gap: float) -> np.ndarray:
+    """Diagonal 4 x 4 matrix with one coupled pair whose refinement gate reads tau = ratio * gap.
+
+    Cold Jacobi starts from X = I, where R = 0 and tau = 2 off = 2 sqrt(2) a_01.
+    """
+    a = np.diag([1.0, 1.0 + gap, 2.0 + gap, 3.0 + gap])
+    a[0, 1] = a[1, 0] = ratio * gap / (2.0 * math.sqrt(2.0))
+    return a
 
 
 class TestCosineMoments:
@@ -324,6 +343,64 @@ class TestJacobi:
         message = r"after 0 sweeps: off-diagonal norm 1\.414e\+00 is not below tol 1\.000e-10"
         with pytest.raises(JacobiConvergenceError, match=message):
             jacobi_eigen(a)
+
+    @pytest.mark.parametrize("cap, message", [
+        (0, r"after 0 steps: off-diagonal norm 2\.500e-04 is not below tol 1\.000e-10 "
+            r"or at its rounding floor 3\.441e-15"),
+        (1, r"after 1 steps: off-diagonal norm 7\.812e-06 is not below tol 1\.000e-10 "
+            r"or at its rounding floor 3\.441e-15"),
+    ])
+    def test_refinement_cap_raises(self, monkeypatch, cap, message):
+        monkeypatch.setattr(ritz, "MAX_REFINE_STEPS", cap)
+        with pytest.raises(JacobiConvergenceError, match="refinement did not stop " + message):
+            jacobi_eigen(gate_pair(0.5, 1e-3))
+
+    @pytest.mark.parametrize("size, orthogonality", [(100, 2.5e-14), (200, 9.5e-14), (400, 9.5e-14)])
+    def test_refinement_finishes_paper_matrix(self, monkeypatch, pot300, size, orthogonality):
+        # three refinement steps reach the stop on the paper matrix at every
+        # size up to MAX_RITZ_N, far inside the default cap
+        monkeypatch.setattr(ritz, "MAX_REFINE_STEPS", 3)
+        refined = []
+        refine = ritz._refine
+        monkeypatch.setattr(ritz, "_refine", lambda *args: refined.append(1) or refine(*args))
+        matrix = assemble_ritz_matrix(pot300, size)
+        eigenvalues, vectors = jacobi_eigen(matrix)
+        assert refined
+        reference = np.linalg.eigvalsh(matrix)
+        assert np.max(np.abs(eigenvalues - reference) / np.maximum(np.abs(reference), 1.0)) <= 1e-11
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(size))) <= orthogonality
+
+    @pytest.mark.parametrize("n, seed", [(6, 0), (40, 1)])
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_eigenvalue_keeps_the_sweeps(self, monkeypatch, n, seed):
+        # a triple eigenvalue never passes the gate, so a refinement call fails
+        monkeypatch.setattr(ritz, "_refine", None)
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        spectrum = np.arange(1.0, n + 1.0)
+        spectrum[2] = spectrum[3] = spectrum[1]
+        a = basis @ np.diag(spectrum) @ basis.T
+        a = 0.5 * (a + a.T)
+        eigenvalues, vectors = jacobi_eigen(a)
+        assert np.max(np.abs(eigenvalues - np.sort(spectrum))) <= 1e-12 * n
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(vectors @ np.diag(eigenvalues) @ vectors.T - a)) <= 1e-12 * n
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.0 - 1e-6])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    @pytest.mark.filterwarnings("error")
+    def test_cluster_just_above_the_gate_converges(self, ratio, gap):
+        a = gate_pair(ratio, gap)
+        # the gate passes at the first boundary, where tau = ratio * gap, and
+        # refuses the same pair with tau just above gap
+        off = math.sqrt(2.0) * a[0, 1]
+        assert ritz._refinement_ready(np.diag(a), off, np.zeros((4, 4)))
+        assert not ritz._refinement_ready(np.diag(a), off / ratio * (1.0 + 1e-6), np.zeros((4, 4)))
+        eigenvalues, vectors = jacobi_eigen(a)
+        half = math.hypot(gap / 2.0, a[0, 1])
+        exact = [1.0 + gap / 2.0 - half, 1.0 + gap / 2.0 + half, 2.0 + gap, 3.0 + gap]
+        assert np.max(np.abs(eigenvalues - exact)) <= 4 * EPS
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) <= 8 * EPS
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
