@@ -63,7 +63,8 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 
-#: largest total number of grid intervals; M = 1e5 constructs in about 1.4 s
+#: largest total number of grid intervals; M = 1e5 constructs in 0.57-0.65 s
+#: on 2 vCPUs (1.1-1.2 s for the whole command, writing the CSV included)
 MAX_GRID_INTERVALS = 100_000
 #: largest sine basis; a cold Jacobi on the paper matrix (M = 300) takes
 #: about 0.62 s at N = 200 and 6.1 s at N = 400 on 2 vCPUs, sweeps plus
@@ -260,9 +261,8 @@ def cmd_diagnose_linearized(config: RunConfig, potential_path: str | None) -> in
         samples = PotentialSamples.from_csv(potential_path)
     else:
         spectrum = config.load_spectrum()
-        grid_config = config if (config.grid_m or config.grid_m1) else replace(
-            config, grid_m1=50, grid_m2=75
-        )
+        given = any(getattr(config, name) is not None for name in GRID_FLAGS)
+        grid_config = config if given else replace(config, grid_m1=50, grid_m2=75)
         samples = construct_potential(spectrum, grid_config.make_grid())
     diag = linearized_qtilde_diagnostic(samples, config.compare_j)
     out = Path(config.out_dir) / "linearized_error.csv"

@@ -44,6 +44,11 @@ COND_CEILING = 1e10
 
 _ENDPOINT_TOL = 1e-12
 
+#: largest gram, grid points x rank^2 entries, that is allocated; construction
+#: peaks at 3.3-3.9 times the gram's bytes, so this keeps it near 1 GB.  The
+#: paper spectrum (rank 6) at 100,001 points needs 3.6e6
+MAX_GRAM_ENTRIES = 30_000_000
+
 #: where a two-zone grid switches from its coarse to its fine zone, as in the paper
 TWO_ZONE_SPLIT = 0.9 * PI
 
@@ -153,13 +158,14 @@ def solve_psi_systems(terms: KernelTermList, grid: Grid) -> PsiSolution:
     if r == 0:
         zeros = np.zeros((npts, 0))
         return PsiSolution(grid=grid, psi=zeros, psi_prime=zeros.copy())
+    if npts * r * r > MAX_GRAM_ENTRIES:
+        raise ValueError(f"refusing to allocate a gram of {npts * r * r} entries, {npts} points "
+                         f"x rank {r} squared (limit {MAX_GRAM_ENTRIES})")
     # an overflowing kernel weight makes G non-finite; _check_condition names
     # that failure, so numpy's warnings about it would only repeat it
     with np.errstate(invalid="ignore", over="ignore"):
         G = exact_gram(terms, x)
-        a = terms.a_values(x).T[..., None]             # (points, rank, 1)
-        ap = terms.a_prime_values(x).T[..., None]
-        b = terms.b_values(x).T[..., None]
+        a, ap, b = (v.T[..., None] for v in terms.values(x)[:3])   # each (points, rank, 1)
     system = np.eye(r) + G
     _check_condition(system, x)
     psi = np.linalg.solve(system, -G @ a)
@@ -187,10 +193,7 @@ def recover_potential(terms: KernelTermList, psi: PsiSolution) -> PotentialSampl
     x = grid.points
     if terms.rank == 0:
         return PotentialSamples(grid=grid, values=np.zeros_like(x))
-    a = terms.a_values(x)
-    ap = terms.a_prime_values(x)
-    b = terms.b_values(x)
-    bp = terms.b_prime_values(x)
+    a, ap, b, bp = terms.values(x)
     k_s = -np.sum((ap + psi.psi_prime.T) * b, axis=0)
     k_t = -np.sum((a + psi.psi.T) * bp, axis=0)
     return PotentialSamples(grid=grid, values=2.0 * (k_s + k_t))

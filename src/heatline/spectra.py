@@ -185,8 +185,9 @@ class KernelTermList:
 
     Term j is a_j(x) = weights[j] * sin(frequencies[j] x), b_j(y) =
     sin(frequencies[j] y); frequency 0 encodes the degenerate nu = 0 pair
-    a_j(x) = weights[j] * x, b_j(y) = y.  Every evaluation returns the terms
-    stacked along a leading axis, shape (rank,) + shape(x).
+    a_j(x) = weights[j] * x, b_j(y) = y.  `values(x)` returns a, a', b and
+    b' at once, each with the terms stacked along a leading axis, shape
+    (rank,) + shape(x).
     """
 
     weights: np.ndarray
@@ -204,27 +205,15 @@ class KernelTermList:
     def rank(self) -> int:
         return len(self.weights)
 
-    def _columns(self, x):
-        """x as an array, weights and frequencies shaped to broadcast against it."""
+    def values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, a', b, b') at x from one sine and one cosine array."""
         x = np.asarray(x, dtype=float)
         shape = (-1,) + (1,) * x.ndim
-        return x, self.weights.reshape(shape), self.frequencies.reshape(shape)
-
-    def a_values(self, x) -> np.ndarray:
-        x, w, f = self._columns(x)
-        return w * np.where(f == 0.0, x, np.sin(f * x))
-
-    def a_prime_values(self, x) -> np.ndarray:
-        x, w, f = self._columns(x)
-        return np.where(f == 0.0, w, w * f * np.cos(f * x))
-
-    def b_values(self, y) -> np.ndarray:
-        y, _, f = self._columns(y)
-        return np.where(f == 0.0, y, np.sin(f * y))
-
-    def b_prime_values(self, y) -> np.ndarray:
-        y, _, f = self._columns(y)
-        return np.where(f == 0.0, 1.0, f * np.cos(f * y))
+        w, f = self.weights.reshape(shape), self.frequencies.reshape(shape)
+        degenerate, fx = f == 0.0, f * x
+        b, cos = np.where(degenerate, x, np.sin(fx)), np.cos(fx)
+        # a' is (w f) cos, not w b': the two products round differently
+        return w * b, np.where(degenerate, w, w * f * cos), b, np.where(degenerate, 1.0, f * cos)
 
 
 def build_kernel_terms(spectrum: TargetSpectrum) -> KernelTermList:
@@ -245,7 +234,7 @@ def build_kernel_terms(spectrum: TargetSpectrum) -> KernelTermList:
 def eval_L(terms: KernelTermList, x, y):
     """Evaluate L(x, y) = sum_j a_j(x) b_j(y); broadcasts over array arguments."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    out = np.sum(terms.a_values(x) * terms.b_values(y), axis=0)
+    out = np.sum(terms.values(x)[0] * terms.values(y)[2], axis=0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -32,7 +32,7 @@ def nystrom_psi(terms: KernelTermList, grid: Grid) -> np.ndarray:
     """
     x = grid.points
     npts = len(x)
-    a = terms.a_values(x)                              # (rank, npts)
+    a = terms.values(x)[0]                             # (rank, npts)
     L = eval_L(terms, x[:, None], x[None, :])          # L(x_r, x_c)
     psi = np.zeros((npts, terms.rank))
     for i in range(npts):

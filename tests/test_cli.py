@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from heatline import ritz
 from heatline.channel import ModeSet, heat_series
-from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, TABLE_ROWS, RunConfig, main
-from heatline.glsolve import PotentialSamples, construct_potential, make_uniform_grid
+from heatline.cli import EXIT_INPUT, EXIT_OK, EXIT_THRESHOLD, MAX_GRID_INTERVALS, TABLE_ROWS, RunConfig, main
+from heatline.glsolve import MAX_GRAM_ENTRIES, PotentialSamples, construct_potential, make_uniform_grid
 from heatline.ritz import verify_potential
 from heatline.spectra import default_target_spectrum
 
@@ -184,6 +184,25 @@ class TestInputContract:
         assert word in assert_one_error_line(capsys)
         assert peak < 1_000_000
         assert not any(tmp_path.iterdir())
+
+    def test_gram_is_bounded_before_allocation(self, tmp_path, capsys):
+        # 50 levels, rank 100: 10,001 points x 100^2 entries, 800 MB per copy
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(json.dumps([{"index": j, "nu": j * j + 0.5} for j in range(1, 51)]))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main(["construct", "--grid-m", "10000", "--spectrum-file", str(spectrum),
+                       "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_INPUT
+        assert "gram of 100010000 entries" in assert_one_error_line(capsys)
+        assert peak < 1_000_000
+        assert not out.exists()
+        # the paper spectrum (rank 6) is admitted at the largest grid
+        assert (MAX_GRID_INTERVALS + 1) * 6**2 <= MAX_GRAM_ENTRIES
 
     # each id names the command and the flags it refuses
     @pytest.mark.parametrize("argv, message", [
@@ -445,6 +464,16 @@ class TestDiagnoseCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "zero or non-finite entries" in err
+        assert not (tmp_path / "linearized_error.csv").exists()
+
+    @pytest.mark.parametrize("grid_flags, message", [
+        (["--grid-m", "0"], "error: uniform grid needs at least 2 intervals"),
+        (["--grid-m1", "0", "--grid-m2", "5"], "error: each zone needs at least 1 interval"),
+    ])
+    def test_zero_grid_is_refused_not_defaulted(self, tmp_path, capsys, grid_flags, message):
+        rc = main(["diagnose-linearized", *grid_flags, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert assert_one_error_line(capsys) == message
         assert not (tmp_path / "linearized_error.csv").exists()
 
 

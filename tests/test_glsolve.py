@@ -74,13 +74,14 @@ class TestGrids:
 
 def cumulative_trapezoid_gram(terms, x):
     """int_0^{x_i} a_m(t) b_j(t) dt by the cumulative trapezoid rule on the points x."""
-    integrand = terms.a_values(x)[:, None, :] * terms.b_values(x)[None, :, :]
+    a, _, b, _ = terms.values(x)
+    integrand = a[:, None, :] * b[None, :, :]
     return np.moveaxis(cumulative_trapezoid(integrand, x, initial=0.0), 2, 0)
 
 
 def gram_entry_by_quadrature(terms, m, j, s):
     """int_0^s a_m(t) b_j(t) dt by adaptive quadrature."""
-    return quad(lambda t: terms.a_values(t)[m] * terms.b_values(t)[j], 0.0, s,
+    return quad(lambda t: terms.values(t)[0][m] * terms.values(t)[2][j], 0.0, s,
                 epsabs=1e-13, epsrel=1e-13)[0]
 
 
@@ -147,7 +148,7 @@ class TestPivotedSolve:
         sol = solve_psi_systems(terms, grid)
         G = exact_gram(terms, x)
         matrix = np.eye(terms.rank) + G
-        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        a, ap, b, _ = (v.T for v in terms.values(x))
         g_norm = np.linalg.norm(G, ord=2, axis=(1, 2))
         rhs = -np.einsum("ijk,ik->ij", G, a)
         a_norm = np.linalg.norm(a, axis=1)
@@ -166,7 +167,7 @@ class TestPivotedSolve:
         x = grid.points
         sol = solve_psi_systems(terms, grid)
         G = exact_gram(terms, x)
-        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        a, ap, b, _ = (v.T for v in terms.values(x))
         for k in range(len(x)):
             lu = lu_factor(np.eye(terms.rank) + G[k])
             psi = lu_solve(lu, -G[k] @ a[k])
@@ -180,7 +181,7 @@ class TestPivotedSolve:
         x = grid300.points
         sol = solve_psi_systems(terms, grid300)
         G = exact_gram(terms, x)
-        a, ap, b = terms.a_values(x).T, terms.a_prime_values(x).T, terms.b_values(x).T
+        a, ap, b, _ = (v.T for v in terms.values(x))
         sigma = np.sum((a + sol.psi) * b, axis=1)
         rhs = np.stack([-np.einsum("ijk,ik->ij", G, a),
                         -np.einsum("ijk,ik->ij", G, ap) - sigma[:, None] * a], axis=2)
