@@ -20,6 +20,7 @@ import numpy as np
 from . import channel as channel_mod
 from .csvio import InputFormatError, write_csv
 from .glsolve import (
+    MAX_GRID_INTERVALS,
     Grid,
     PotentialSamples,
     SingularSystemError,
@@ -63,12 +64,9 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 
-#: largest total number of grid intervals; M = 1e5 constructs in 0.57-0.65 s
-#: on 2 vCPUs (1.1-1.2 s for the whole command, writing the CSV included)
-MAX_GRID_INTERVALS = 100_000
 #: largest sine basis; a cold Jacobi on the paper matrix (M = 300) takes
-#: about 0.62 s at N = 200 and 6.1 s at N = 400 on 2 vCPUs, sweeps plus
-#: refinement
+#: 1.3-1.7 s at N = 200 and 8.1-9.5 s at N = 400 on 2 vCPUs (3 runs each),
+#: sweeps plus refinement
 MAX_RITZ_N = 400
 
 

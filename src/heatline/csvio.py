@@ -34,8 +34,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
-def read_float_columns(path, expected_header: Sequence[str]) -> list[np.ndarray]:
-    """Read a CSV with the given header into float column arrays."""
+def read_float_columns(path, expected_header: Sequence[str], max_rows: int) -> list[np.ndarray]:
+    """Read a CSV with the given header into float column arrays; a file of more
+    than `max_rows` data rows stops at the first row past them, unparsed."""
     columns: list[list[float]] = [[] for _ in expected_header]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -50,6 +51,8 @@ def read_float_columns(path, expected_header: Sequence[str]) -> list[np.ndarray]
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(columns[0]) == max_rows:
+                raise InputFormatError(f"{path}: row {line_no}: more than the limit of {max_rows} data rows")
             if len(row) != len(expected_header):
                 raise InputFormatError(f"{path}: row {line_no}: expected {len(expected_header)} fields")
             try:

@@ -7,12 +7,16 @@ problem -u'' + Q u = nu u becomes P C = nu C with
     q_nm = (2/pi) int_0^pi Q sin(n x) sin(m x) dx = qt(|n-m|) - qt(n+m),
     qt(k) = (1/pi) int_0^pi Q(x) cos(k x) dx.
 
-Only the cosine moments qt(0 .. 2N) touch the data.  They are evaluated by
-reconstructing the samples with a quadratic interpolating spline and
-integrating spline * cos(kx) in closed form per panel.  Plain trapezoid
-moments lose all accuracy at high k on coarse panels (k h per panel exceeds
-the cosine period); the piecewise-line diagnostic at the bottom of this
-module uses them as its reference.
+Only the cosine moments qt(0 .. 2N) touch the data.  They integrate a
+quadratic interpolating spline through the samples against cos(kx) exactly.
+On a run of equal panels the k-sums take one chirp-z transform: the
+attenuation-factor form of a spline's Fourier integral (Gautschi, Numer.
+Math. 18, 1972) with Bluestein's transform (Rabiner, Schafer and Rader,
+IEEE Trans. Audio Electroacoust. 17, 1969).  On the paper potential at
+M = 100 they lie within 2.1e-15 max |qt| of a 40-digit evaluation, where the
+per-k sin/cos loop they replace read 2.5e-13.  Plain trapezoid moments lose
+all accuracy at high k on coarse panels; the piecewise-line diagnostic at
+the bottom of this module uses them as its reference.
 
 The spline is built with numpy alone.  Its knots are the data midpoints
 without the first and last, plus each end point as a triple knot, the usual
@@ -61,6 +65,8 @@ START_ORTHOGONALITY_TOL = 1e-12
 #: 0.016 (M = 3, 8, 20), its smallest real ones 2.6e10 (M = 40) and 2.0e12
 #: (two-zone 50 + 75)
 ZERO_ENTRY_EPS = 1e3
+#: a run of this many equal panels or more takes the chirp-z transform
+MIN_TRANSFORM_RUN = 8
 
 
 class JacobiConvergenceError(Exception):
@@ -127,30 +133,74 @@ def quadratic_spline(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return t[2 : n + 1], coefficients
 
 
-def _ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
-    """Exact integrals (1/pi) int p(x) cos(kx) dx of a piecewise quadratic p.
+def _closed_integrals(k: np.ndarray, h) -> np.ndarray:
+    """I_p(k, h) = int_0^h u^p e^{iku} du, p = 0, 1, 2 on a new first axis, k > 0, by I_0 =
+    (e^{ikh} - 1) / (ik) and I_p = (h^p e^{ikh} - p I_{p-1}) / (ik), which cancel where kh < 1."""
+    e, ik = np.exp(1j * k * h), 1j * k
+    i0 = (e - 1.0) / ik
+    i1 = (h * e - i0) / ik
+    return np.stack([i0, i1, (h * h * e - 2.0 * i1) / ik])
 
-    Panel i is [breakpoints[i], breakpoints[i + 1]], on which
-    p = c2 u^2 + c1 u + c0 with u the offset from the panel start and
-    (c2, c1, c0) = coefficients[:, i].
+
+def _chirp_z(c: np.ndarray, width: float, kmax: int) -> np.ndarray:
+    """F(k) = sum_j c[..., j] e^{ikj width}, k = 0 .. kmax, by Bluestein's chirp-z transform.
+
+    kj = (k^2 + j^2 - (k - j)^2) / 2 makes F a convolution with the chirp e^{2 pi i f m^2},
+    f = width / (4 pi).  Split into 26-bit halves (Dekker), f and m^2 < 2^52 give four exact
+    products, each reduced modulo 1, so the chirp's phase error does not grow with the run.
     """
-    h = np.diff(breakpoints)
-    c2, c1, c0 = coefficients
-    out = np.empty(kmax + 1)
-    out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
-    for k in range(1, kmax + 1):
-        # sin and cos once per knot; panel ends are slices of the knot values
-        sin_k, cos_k = np.sin(k * breakpoints), np.cos(k * breakpoints)
-        sin0, sin1 = sin_k[:-1], sin_k[1:]
-        cos0, cos1 = cos_k[:-1], cos_k[1:]
-        # C_m = int_0^h u^m cos(k x_i + k u) du on panel [x_i, x_i + h], S_m the sine analogue
-        C0 = (sin1 - sin0) / k
-        S0 = (cos0 - cos1) / k
-        C1 = (h * sin1 - S0) / k
-        S1 = (-h * cos1 + C0) / k
-        C2 = (h**2 * sin1 - 2.0 * S1) / k
-        out[k] = np.sum(c2 * C2 + c1 * C1 + c0 * C0) / PI
-    return out
+    n = c.shape[-1]
+    f = width / (4.0 * PI)
+    f_hi = 134217729.0 * f - (134217729.0 * f - f)
+    q = np.arange(max(n, kmax + 1), dtype=float) ** 2
+    parts = np.multiply.outer([f_hi, f - f_hi], [q - q % 2.0**26, q % 2.0**26])
+    w = np.exp(2j * PI * np.sum(parts - np.rint(parts), axis=(0, 1)))
+    size = 1 << (n + kmax).bit_length()
+    kernel = np.conj(np.r_[w[: kmax + 1], np.zeros(size - n - kmax), w[n - 1 : 0 : -1]])
+    return np.fft.ifft(np.fft.fft(c * w[:n], size) * np.fft.fft(kernel))[..., : kmax + 1] * w[: kmax + 1]
+
+
+def _ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
+    """Exact integrals (1/pi) int p(x) cos(kx) dx, k = 0 .. kmax, of a piecewise quadratic p.
+
+    Panel i is [t_i, t_i + h_i] with t = breakpoints, on which p = c2 u^2 + c1 u + c0,
+    u = x - t_i and (c2, c1, c0) = coefficients[:, i]; it adds (1/pi) Re e^{ikt_i}
+    sum_p c_p I_p(k, h_i).  A run of MIN_TRANSFORM_RUN or more panels whose knots
+    lie within 4 eps max |t| of t_a + jh, t_a its first knot, adds e^{ikt_a} sum_p
+    I_p(k, h) F_p(k) with F_p(k) = sum_j c_{p,a+j} e^{ikjh} from `_chirp_z`.  The
+    other panels go 2^14 (k, panel) pairs at a time.  Where kh_i < 1 their Taylor
+    series, summed over the panels first, is one matrix product, and e^{ikt} =
+    e^{iast} e^{ibt}, k = as + b, takes 2 sqrt(kmax) exponentials per panel.
+    """
+    t, c, h = breakpoints, coefficients[::-1], np.diff(breakpoints)
+    k, s = np.arange(kmax + 1), math.isqrt(kmax) + 1
+    # I_p(k, h) = sum_m terms_{k,m} h^{p+m+1} / mp1_{m,p} with terms_{k,m} = (ik)^m / m!, m < 18:
+    # where kh < 1 the first term left out is below 1e-17 of the sum
+    terms = np.cumprod(np.c_[np.ones(kmax + 1), 1j * k[:, None] / np.arange(1, 18)], axis=1)
+    mp1 = np.arange(18)[:, None] + np.arange(1, 4)
+    tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    edges = np.flatnonzero(np.r_[True, np.abs(np.diff(h)) > 2.0 * tol, True])
+    long = np.diff(edges) >= MIN_TRANSFORM_RUN
+    total = np.zeros(kmax + 1, dtype=complex)
+    direct = np.ones(len(h), dtype=bool)
+    for a, b in zip(edges[:-1][long], edges[1:][long]):
+        width = (t[b] - t[a]) / (b - a)
+        if np.max(np.abs(t[a : b + 1] - t[a] - width * np.arange(b - a + 1))) <= tol:
+            direct[a:b] = False
+            cut = np.count_nonzero(k * width < 1.0)
+            integrals = np.hstack([(terms[:cut] @ (width**mp1 / mp1)).T, _closed_integrals(k[cut:], width)])
+            total += np.exp(1j * k * t[a]) * np.sum(integrals * _chirp_z(c[:, a:b], width, kmax), axis=0)
+    panels, block = np.flatnonzero(direct), max(1, 2**14 // (kmax + 1))
+    for i in (panels[j : j + block] for j in range(0, len(panels), block)):
+        phase = np.exp(1j * np.outer(k[::s], t[i]))[:, None] * np.exp(1j * np.outer(k[:s], t[i]))
+        phase = phase.reshape(-1, len(i))[: kmax + 1]
+        rows, cols = np.nonzero(np.outer(k, h[i]) >= 1.0)
+        closed = np.sum(c[:, i[cols]] * _closed_integrals(rows, h[i[cols]]), axis=0)
+        total += np.bincount(rows, (phase[rows, cols] * closed).real, kmax + 1)
+        phase[rows, cols] = 0.0
+        weights = np.einsum("pi,mpi->mi", c[:, i], h[i] ** mp1[..., None] / mp1[..., None])
+        total += np.sum((phase @ weights.T) * terms, axis=1)
+    return total.real / PI
 
 
 def _trapezoid_cos_moments(x: np.ndarray, q: np.ndarray, kmax: int) -> np.ndarray:

@@ -185,6 +185,29 @@ class TestInputContract:
         assert peak < 1_000_000
         assert not any(tmp_path.iterdir())
 
+    def test_potential_rows_are_bounded_before_parsing(self, tmp_path, capsys):
+        # one sample past the largest grid: 100,002 data rows
+        path = tmp_path / "potential.csv"
+        s = np.linspace(0.0, math.pi, MAX_GRID_INTERVALS + 2).tolist()
+        path.write_text("s,Q\n" + "".join(f"{v!r},0.0\n" for v in s))
+        message = f"row {MAX_GRID_INTERVALS + 3}: more than the limit of {MAX_GRID_INTERVALS + 1} data rows"
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--potential", str(path), "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_INPUT
+        assert message in assert_one_error_line(capsys)
+        # the columns read so far, 6.5 MB
+        assert peak < 16_000_000
+        # the other two readers of --potential stop at the same row
+        for command in ("channel", "diagnose-linearized"):
+            assert main([command, "--potential", str(path), "--out-dir", str(out)]) == EXIT_INPUT
+            assert message in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_gram_is_bounded_before_allocation(self, tmp_path, capsys):
         # 50 levels, rank 100: 10,001 points x 100^2 entries, 800 MB per copy
         spectrum = tmp_path / "spectrum.json"
@@ -545,12 +568,15 @@ def test_runtime_imports_no_new_module():
 
 
 class TestOutputsAgainstScipySpline:
-    """Default outputs against those of the same commands with scipy's spline for the moments.
+    """Default outputs against those of the same commands by a second moment route.
 
-    The moments move by rounding only (7e-16 of max |qt|).  potential.csv and
-    linearized_error.csv do not read the spline, so they stay byte-identical;
-    every verified eigenvalue stays within 1e-12 max(1, |nu|) and every table
-    delta within 1e-8 relative.
+    That route is scipy's spline with the per-k loop of `oracles` in place of
+    the numpy spline with the run transforms.  The moments move by the loop's
+    rounding only: 2.8e-14 of max |qt| at M = 300 and 2.5e-13 at M = 100.
+    potential.csv and linearized_error.csv do not read the spline, so they stay
+    byte-identical.  The verified eigenvalues move by at most 1.7e-13
+    max(1, |nu|) and the table deltas by 3.5e-9 relative, inside the bounds of
+    1e-12 max(1, |nu|) and 1e-8 relative.
     """
 
     COMMANDS = (["construct"], ["verify", "--compare-j", "100"], ["table", "uniform"],

@@ -27,7 +27,14 @@ from heatline.ritz import (
 )
 from heatline.spectra import TargetSpectrum, default_target_spectrum
 
-from oracles import bisection_eigenvalues, fd_eigenvalues, scipy_cosine_moments, scipy_quadratic_spline
+from oracles import (
+    bisection_eigenvalues,
+    fd_eigenvalues,
+    loop_ppoly_cos_moments,
+    mpmath_ppoly_cos_moments,
+    scipy_cosine_moments,
+    scipy_quadratic_spline,
+)
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -93,25 +100,6 @@ def loop_linearized_error(samples: PotentialSamples, size: int) -> np.ndarray:
     return np.abs(p_trap - p_line) / np.abs(p_trap)
 
 
-def loop_ppoly_cos_moments(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
-    """Panel-end moments that evaluate sin and cos at both ends of every panel: the reference."""
-    x0, x1 = breakpoints[:-1], breakpoints[1:]
-    h = np.diff(breakpoints)
-    c2, c1, c0 = coefficients
-    out = np.empty(kmax + 1)
-    out[0] = np.sum(c2 * h**3 / 3.0 + c1 * h**2 / 2.0 + c0 * h) / PI
-    for k in range(1, kmax + 1):
-        sin0, sin1 = np.sin(k * x0), np.sin(k * x1)
-        cos0, cos1 = np.cos(k * x0), np.cos(k * x1)
-        C0 = (sin1 - sin0) / k
-        S0 = (cos0 - cos1) / k
-        C1 = (h * sin1 - S0) / k
-        S1 = (-h * cos1 + C0) / k
-        C2 = (h**2 * sin1 - 2.0 * S1) / k
-        out[k] = np.sum(c2 * C2 + c1 * C1 + c0 * C0) / PI
-    return out
-
-
 def reference_jacobi_eigen(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin Jacobi that applies a skipped rotation as the identity over all n/2 pairs.
 
@@ -164,6 +152,52 @@ def gate_pair(ratio: float, gap: float) -> np.ndarray:
     return a
 
 
+@st.composite
+def spline_grids(draw) -> Grid:
+    """Uniform grids (M >= 2) and two-zone grids with random zone sizes and split."""
+    if draw(st.booleans()):
+        return make_uniform_grid(draw(st.integers(2, 400)))
+    sizes = st.integers(1, 300)
+    split = PI * draw(st.floats(0.01, 0.99))
+    left = np.linspace(0.0, split, draw(sizes) + 1)
+    return Grid(np.concatenate([left, np.linspace(split, PI, draw(sizes) + 1)[1:]]))
+
+
+@st.composite
+def moment_grids(draw) -> Grid:
+    """`spline_grids`, and grids whose spline has no run long enough for the transform.
+
+    Those are geometric grids, where no two widths are equal, the 3-point grid
+    (one panel), and uniform grids whose run is shorter than MIN_TRANSFORM_RUN.
+    """
+    kind = draw(st.sampled_from(["spline", "geometric", "one_panel", "short"]))
+    if kind == "spline":
+        return draw(spline_grids())
+    if kind == "geometric":
+        widths = np.cumsum(draw(st.floats(1.001, 1.1)) ** np.arange(draw(st.integers(2, 300))))
+        return Grid(np.r_[0.0, PI * widths / widths[-1]])
+    if kind == "one_panel":
+        return Grid(np.array([0.0, draw(st.floats(0.01, 3.1)), PI]))
+    return make_uniform_grid(draw(st.integers(2, ritz.MIN_TRANSFORM_RUN + 1)))
+
+
+def loop_rounding(breakpoints: np.ndarray, coefficients: np.ndarray, kmax: int) -> np.ndarray:
+    """A bound on the rounding of `loop_ppoly_cos_moments`, k = 0 .. kmax.
+
+    Each sin and cos it reads is off by up to eps (1 + k pi) and each panel
+    divides their differences by k up to three times.  A multiple of eps
+    times the panels' sum of |c_p| h^{p+1} covers the transforms.  In two runs
+    of 1,000 draws of `test_random_splines_match_loop` the largest distance
+    read 0.21 and 0.28 of this bound.
+    """
+    h = np.diff(breakpoints)
+    c2, c1, c0 = np.abs(coefficients)
+    k = np.arange(1, kmax + 1)[:, None]
+    panel = (2.0 * c0 + c1 * (h + 2.0 / k) + c2 * (h**2 + 2.0 * h / k + 4.0 / k**2)) / k
+    loop = np.r_[0.0, 2.0 * EPS * (1.0 + PI * k[:, 0]) * np.sum(panel, axis=1)]
+    return (loop + 16.0 * EPS * np.sum(c0 * h + c1 * h**2 + c2 * h**3)) / PI
+
+
 class TestCosineMoments:
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_zero_potential(self, rule):
@@ -201,33 +235,57 @@ class TestCosineMoments:
         expected[3] = 0.5
         assert np.allclose(moments, expected, atol=1e-6)
 
-    @pytest.mark.parametrize("grid", [make_uniform_grid(100), make_uniform_grid(300),
-                                      make_uniform_grid(3000), make_two_zone_grid(50, 75)],
-                             ids=["M100", "M300", "M3000", "two_zone_50_75"])
-    def test_knot_values_match_panel_end_loop(self, grid, spectrum):
+    # on coarse grids the loop's own error sets the bound: its sin and cos
+    # differences cancel at small k, 2.5e-13 of max |qt| from the 40-digit value
+    # at M = 100.  On the long runs the two read 7.8e-15 apart, where a chirp
+    # phase rounded as h m^2 / 2 reaches 3.9e-14 (M = 3000) and 8.5e-14 (30,000)
+    @pytest.mark.parametrize("grid, bound", [(make_uniform_grid(100), 3e-13), (make_uniform_grid(300), 1e-13),
+                                             (make_uniform_grid(3000), 2e-14), (make_two_zone_grid(50, 75), 1e-13),
+                                             (make_uniform_grid(30000), 2e-14)],
+                             ids=["M100", "M300", "M3000", "two_zone_50_75", "M30000"])
+    def test_knot_values_match_panel_end_loop(self, grid, bound, spectrum):
         samples = construct_potential(spectrum, grid)
         moments = cosine_moments(samples, 200)
-        spline = quadratic_spline(grid.points, samples.values)
-        assert np.array_equal(moments, loop_ppoly_cos_moments(*spline, 200))
+        reference = loop_ppoly_cos_moments(*quadratic_spline(grid.points, samples.values), 200)
+        assert np.max(np.abs(moments - reference)) <= bound * np.max(np.abs(reference))
         # scipy's spline differs by rounding in its pivoted solve and its
-        # conversion: 3.6e-16 of max |qt| on these grids
-        reference = scipy_cosine_moments(samples, 200)
-        assert np.max(np.abs(moments - reference)) <= 16 * EPS * np.max(np.abs(reference))
+        # conversion, and its moments come from the loop
+        assert np.max(np.abs(moments - scipy_cosine_moments(samples, 200))) <= bound * np.max(np.abs(reference))
+
+    # the loop reads 2.5e-13 of max |qt| at M = 100; the transforms 2.1e-15 or less
+    @pytest.mark.parametrize("grid", [make_uniform_grid(100), make_uniform_grid(300),
+                                      make_two_zone_grid(50, 50), make_two_zone_grid(50, 100)],
+                             ids=["M100", "M300", "two_zone_50_50", "two_zone_50_100"])
+    def test_matches_40_digit_reference(self, grid, spectrum):
+        samples = construct_potential(spectrum, grid)
+        moments = cosine_moments(samples, 200)
+        ks = [1, 3, 50, 137, 200]
+        exact = mpmath_ppoly_cos_moments(*quadratic_spline(grid.points, samples.values), ks)
+        assert np.max(np.abs(moments[ks] - exact)) <= 2e-14 * np.max(np.abs(moments))
+
+    def test_slow_drift_is_not_a_run(self):
+        # neighbouring widths differ by 2.7e-15, inside the run tolerance, but
+        # the knots stray 2.3e-11 from the line through the run's ends
+        j = np.arange(301.0)
+        x = PI * (j + 1e-13 * j * j) / (300.0 + 1e-13 * 300.0**2)
+        breakpoints, coefficients = quadratic_spline(x, np.cos(3.0 * x) + x)
+        moments = _ppoly_cos_moments(breakpoints, coefficients, 200)
+        reference = loop_ppoly_cos_moments(breakpoints, coefficients, 200)
+        assert np.max(np.abs(moments - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @given(grid=moment_grids(), kmax=st.sampled_from([0, 1]) | st.integers(2, 400),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_splines_match_loop(self, grid, kmax, seed):
+        y = np.random.default_rng(seed).normal(size=len(grid))
+        breakpoints, coefficients = quadratic_spline(grid.points, y)
+        moments = _ppoly_cos_moments(breakpoints, coefficients, kmax)
+        difference = np.abs(moments - loop_ppoly_cos_moments(breakpoints, coefficients, kmax))
+        assert np.all(difference <= loop_rounding(breakpoints, coefficients, kmax))
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
             cosine_moments(constant_samples(1.0), -1)
-
-
-@st.composite
-def spline_grids(draw) -> Grid:
-    """Uniform grids (M >= 2) and two-zone grids with random zone sizes and split."""
-    if draw(st.booleans()):
-        return make_uniform_grid(draw(st.integers(2, 400)))
-    sizes = st.integers(1, 300)
-    split = PI * draw(st.floats(0.01, 0.99))
-    left = np.linspace(0.0, split, draw(sizes) + 1)
-    return Grid(np.concatenate([left, np.linspace(split, PI, draw(sizes) + 1)[1:]]))
 
 
 def evaluate_spline(breakpoints: np.ndarray, coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
